@@ -23,12 +23,13 @@
 //        (priority dispatch + clustering prefetch win back a measurable
 //        share of the contention penalty; accuracy/coverage reported).
 //
-// Gates (hard errors): every run drains its event queue; per-owner swap
-// ledgers balance (owner reads == swap-ins + prefetches, owner writes ==
-// writebacks + pageouts) and partition the device totals; the residency
-// ledger balances; a single-member shared device is bit-identical to a
-// private one (the determinism contract); the contention and recovery
-// regimes both actually show (12a/12b headline directions).
+// Gates (hard errors): every run drains its event queue; every run passes
+// the ledger audit (sls::audit: owner reads == swap-ins + prefetches, owner
+// writes == writebacks + pageouts, owners partition each device's totals,
+// plus the unmap partition and frame refcounts); a single-member shared
+// device is bit-identical to a private one (the determinism contract); the
+// contention and recovery regimes both actually show (12a/12b headline
+// directions).
 //
 // Artifacts: BENCH_fig12_swap.json (engine-report schema) and
 // fig12_swap_summary.txt (headline numbers + write_swap_summary /
@@ -56,6 +57,7 @@
 #include "mem/paging/swap_scheduler.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
+#include "sls/audit.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
 #include "sls/sharded_runner.hpp"
@@ -205,10 +207,7 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
   // Drained-queue gate: in-flight prefetches, pageouts, and writebacks must
   // retire once the threads halt — a stuck request chain is a bug, not tail
   // noise.
-  const Cycles drain_deadline = sim.now() + 1'000'000'000ull;
-  while (sim.step())
-    if (sim.now() > drain_deadline)
-      throw std::runtime_error("fig12: event queue failed to drain after completion");
+  group.drain();
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
 
@@ -217,12 +216,19 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
       throw std::runtime_error("fig12: workload '" + wls[i].name + "' (p" + std::to_string(i) +
                                ") failed verification");
 
+  const sls::Ledgers ledgers = sls::snapshot_ledgers(group);
+  if (const auto violations = sls::audit(ledgers); !violations.empty())
+    throw std::runtime_error("fig12: " + violations.front());
+  for (const sls::SwapDeviceLedger& dev : ledgers.swaps) {
+    r.device_reads += dev.reads;
+    r.device_writes += dev.writes;
+  }
+
   const auto stats = sim.stats().snapshot();
   const auto at = [&stats](const std::string& name) {
     auto it = stats.find(name);
     return it == stats.end() ? 0.0 : it->second;
   };
-  u64 owner_reads_total = 0, owner_writes_total = 0;
   for (unsigned i = 0; i < opt.processes; ++i) {
     const std::string prefix = "p" + std::to_string(i) + ".";
     auto* pager = group.process(i).pager();
@@ -232,22 +238,10 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
     r.prefetch_useful += pager->prefetch_useful();
     r.prefetch_late += pager->prefetch_late();
     r.prefetch_wasted += pager->prefetch_wasted();
-    // Ledger gates, per owner: reads/writes attributable to this process
-    // must match its pager's own accounting exactly.
     r.pager_fault_stall_max.emplace_back(prefix + "pager",
                                          at(prefix + "pager.fault_stall.max"));
-    const u64 reads = pager->swap().reads();
-    const u64 writes = pager->swap().writes();
-    if (reads != pager->swap_ins() + pager->prefetches())
-      throw std::runtime_error("fig12: swap read ledger unbalanced for p" + std::to_string(i));
-    if (writes != pager->writebacks() + pager->pageouts())
-      throw std::runtime_error("fig12: swap write ledger unbalanced for p" + std::to_string(i));
-    owner_reads_total += reads;
-    owner_writes_total += writes;
   }
   if (opt.device == DeviceMode::kPrivate) {
-    r.device_reads = owner_reads_total;
-    r.device_writes = owner_writes_total;
     // Mean of the per-pager queue-wait means, weighted by sample counts.
     double wait_sum = 0, wait_count = 0;
     for (unsigned i = 0; i < opt.processes; ++i) {
@@ -257,14 +251,8 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
     }
     r.queue_wait_mean = wait_count > 0 ? wait_sum / wait_count : 0.0;
   } else {
-    auto* sched = group.shared_swap();
-    r.device_reads = sched->reads();
-    r.device_writes = sched->writes();
-    r.wb_promotions = sched->wb_promotions();
+    r.wb_promotions = group.shared_swap()->wb_promotions();
     r.queue_wait_mean = at("swap.queue_wait.mean");
-    // The owner ledgers must partition the shared device's totals.
-    if (r.device_reads != owner_reads_total || r.device_writes != owner_writes_total)
-      throw std::runtime_error("fig12: per-owner ledgers do not partition the device totals");
   }
   if (opt.dump_summaries) {
     for (unsigned i = 0; i < opt.processes; ++i) {

@@ -23,17 +23,17 @@
 //                its refcount-1 faults upgrade in place (cow_upgrades).
 //
 // Gates (hard errors, every cell):
-//   * refcount identity — summing each worker's resident mappings per
-//     frame must reproduce FrameAllocator::refcount exactly, total
-//     mappings == pool.mapped_pages(), unique frames ==
-//     pool.resident_pages(),
+//   * ledger audit (sls::audit over the measured phases) — per pager, every
+//     unmap lands in exactly one of swap_releases, file_drops,
+//     file_writebacks, shared_releases (the double-count audit); summing
+//     each worker's resident mappings per frame reproduces
+//     FrameAllocator::refcount exactly, total mappings ==
+//     pool.mapped_pages(), unique frames == pool.resident_pages(); plus the
+//     swap-owner and cache-client ledgers,
 //   * fault ledger — per pager, driven unmapped faults ==
 //     swap_ins + file_reads + zero_fills + share_hits + inherited_fills,
 //     and driven write faults on resident read-only pages ==
 //     cow_copies + cow_upgrades,
-//   * eviction ledger — per pager, evictions == swap_releases +
-//     file_drops + file_writebacks + shared_releases (each unmap lands in
-//     exactly one bucket: the double-count audit),
 //   * read-only sharing never copies — COW counters are zero before the
 //     divergence phase,
 //   * divergence — every worker reads back its own value, the parent its
@@ -64,7 +64,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -78,6 +77,7 @@
 #include "mem/physmem.hpp"
 #include "rt/process.hpp"
 #include "sim/simulator.hpp"
+#include "sls/audit.hpp"
 #include "sls/sharded_runner.hpp"
 #include "util/table.hpp"
 
@@ -185,6 +185,12 @@ struct ShareRig {
     workers.push_back(std::move(w));
     return workers.back();
   }
+
+  sls::Ledgers ledgers() const {
+    std::vector<paging::Pager*> pagers;
+    for (const auto& w : workers) pagers.push_back(w.pager.get());
+    return sls::snapshot_ledgers(pagers, frames, &pool);
+  }
 };
 
 void drain(sim::Simulator& sim) {
@@ -214,9 +220,12 @@ void launch_chain(ShareRig& rig, std::size_t w, std::vector<Step> steps, Cycles 
     std::size_t pos = 0;
     std::function<void()> next;
   };
-  auto st = std::make_shared<Chain>();
-  st->steps = std::move(steps);
-  st->next = [&rig, w, st] {
+  auto chain = std::make_shared<Chain>();
+  chain->steps = std::move(steps);
+  // The pending callbacks own the chain; `next` holds it weakly, since a
+  // chain owning itself would never be freed.
+  chain->next = [&rig, w, self = std::weak_ptr<Chain>(chain)] {
+    const auto st = self.lock();
     while (st->pos < st->steps.size()) {
       const Step s = st->steps[st->pos];
       WorkerRig& wk = rig.workers[w];
@@ -261,35 +270,8 @@ void launch_chain(ShareRig& rig, std::size_t w, std::vector<Step> steps, Cycles 
       return;
     }
   };
-  rig.sim.schedule_in(delay, [st] { st->next(); });
+  rig.sim.schedule_in(delay, [chain] { chain->next(); });
 }
-
-/// Per-pager bucket snapshot for delta ledgers (setup traffic excluded).
-struct LedgerSnap {
-  u64 swap_ins = 0, file_reads = 0, zero_fills = 0, share_hits = 0, inherited_fills = 0;
-  u64 cow_copies = 0, cow_upgrades = 0;
-  u64 evictions = 0, swap_releases = 0, file_drops = 0, file_writebacks = 0, shared_releases = 0;
-
-  static LedgerSnap of(const paging::Pager& p) {
-    LedgerSnap s;
-    s.swap_ins = p.swap_ins();
-    s.file_reads = p.file_reads();
-    s.zero_fills = p.zero_fills();
-    s.share_hits = p.share_hits();
-    s.inherited_fills = p.inherited_fills();
-    s.cow_copies = p.cow_copies();
-    s.cow_upgrades = p.cow_upgrades();
-    s.evictions = p.evictions();
-    s.swap_releases = p.swap_releases();
-    s.file_drops = p.file_drops();
-    s.file_writebacks = p.file_writebacks();
-    s.shared_releases = p.shared_releases();
-    return s;
-  }
-  u64 reads() const { return swap_ins + file_reads + zero_fills + share_hits + inherited_fills; }
-  u64 cows() const { return cow_copies + cow_upgrades; }
-  u64 unmaps() const { return swap_releases + file_drops + file_writebacks + shared_releases; }
-};
 
 struct PointResult {
   u64 workers = 0;
@@ -361,9 +343,9 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   }
   drain(sim);
 
-  std::vector<LedgerSnap> base;
-  base.reserve(rig.workers.size());
-  for (const auto& w : rig.workers) base.push_back(LedgerSnap::of(*w.pager));
+  // Setup traffic (the pre-fork eviction, fork itself) is excluded: the
+  // counter ledgers are audited over the phases below.
+  const sls::Ledgers base = rig.ledgers();
 
   // --- phase A: cold fill ---------------------------------------------
   // Worker 1 faults the untouched file half (the run's only device reads);
@@ -428,51 +410,39 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   for (const auto& w : rig.workers) r.cow_faults += w.cow_faults;
 
   // --- ledgers ---------------------------------------------------------
+  const sls::Ledgers now = rig.ledgers();
+  if (const auto violations = sls::audit(now, &base); !violations.empty())
+    throw std::runtime_error("fig14: " + violations.front());
   for (std::size_t i = 0; i < rig.workers.size(); ++i) {
     const WorkerRig& w = rig.workers[i];
-    const LedgerSnap now = LedgerSnap::of(*w.pager);
-    const LedgerSnap& b = base[i];
-    require_gate(now.reads() - b.reads() == w.read_faults,
+    const sls::PagerLedger& a = now.pagers[i];
+    const sls::PagerLedger& b = base.pagers[i];
+    require_gate(a.read_faults() - b.read_faults() == w.read_faults,
                  "read-fault ledger unbalanced for " + w.pager->name());
-    require_gate(now.cows() - b.cows() == w.cow_faults,
+    require_gate(a.cow_faults() - b.cow_faults() == w.cow_faults,
                  "COW ledger unbalanced for " + w.pager->name());
-    require_gate(now.evictions - b.evictions == now.unmaps() - b.unmaps(),
-                 "eviction ledger unbalanced for " + w.pager->name());
     if (opt.pool_budget == 0) {
       // No pressure: every bucket is exactly predictable per worker.
       const u64 share_exp = i >= 2 ? S / 2 : 0;
       const u64 file_exp = i == 1 ? S - S / 2 : 0;
-      require_gate(now.evictions == b.evictions, "unexpected eviction in an unpressured cell");
+      require_gate(a.unmaps == b.unmaps, "unexpected eviction in an unpressured cell");
       if (i == 0)
-        require_gate(now.swap_ins - b.swap_ins == E && now.cow_upgrades - b.cow_upgrades == A &&
-                         now.cow_copies == b.cow_copies,
+        require_gate(a.swap_ins - b.swap_ins == E && a.cow_upgrades - b.cow_upgrades == A &&
+                         a.cow_copies == b.cow_copies,
                      "parent bucket mismatch");
       else
-        require_gate(now.share_hits - b.share_hits == share_exp &&
-                         now.file_reads - b.file_reads == file_exp &&
-                         now.inherited_fills - b.inherited_fills == E &&
-                         now.zero_fills - b.zero_fills == Z &&
-                         now.cow_copies - b.cow_copies == A && now.cow_upgrades == b.cow_upgrades,
+        require_gate(a.share_hits - b.share_hits == share_exp &&
+                         a.file_reads - b.file_reads == file_exp &&
+                         a.inherited_fills - b.inherited_fills == E &&
+                         a.zero_fills - b.zero_fills == Z &&
+                         a.cow_copies - b.cow_copies == A && a.cow_upgrades == b.cow_upgrades,
                      "worker bucket mismatch for " + w.pager->name());
     }
   }
-
-  // --- refcount identity -----------------------------------------------
-  std::unordered_map<u64, u64> per_frame;
   u64 mappings = 0;
-  for (const auto& w : rig.workers) {
-    w.as->for_each_resident([&](u64 vpn) {
-      ++per_frame[*w.as->frame_of(vpn)];
-      ++mappings;
-    });
-  }
-  require_gate(mappings == rig.pool.mapped_pages(), "pool mapped_pages != sum of residency");
-  require_gate(per_frame.size() == rig.pool.resident_pages(), "pool resident != unique frames");
-  for (const auto& [frame, count] : per_frame)
-    require_gate(rig.frames.refcount(frame) == count,
-                 "frame refcount != mapping count for frame " + std::to_string(frame));
+  for (const sls::FrameLedger& f : now.frames) mappings += f.mappings;
   r.mapped = mappings;
-  r.unique_frames = per_frame.size();
+  r.unique_frames = now.frames.size();
   r.dedup = rig.pool.dedup_ratio();
   r.evictions = rig.pool.evictions();
   if (N >= 256)

@@ -16,9 +16,10 @@
 // Gates (hard errors, every cell):
 //   * request ledger — arrivals == admitted + rejected == configured
 //     requests and completed == admitted (enforced inside
-//     TrafficDriver::run, re-asserted here),
-//   * drained queues — the admission queue, every worker, the swap queue,
-//     and the event queue are all empty after the run,
+//     TrafficDriver::run),
+//   * drained queues — the admission queue, every worker, and the event
+//     queue (TrafficDriver::run) and the swap queue (here) are all empty
+//     after the run,
 //   * sustainable points reject nothing (a drop would make "max QPS" a
 //     lie),
 //   * bit-identical rerun — one grid point rerun on a fresh simulator
@@ -140,17 +141,10 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   r.events = sim.events_executed() - events_before;
   r.host_ms = timer.ms();
 
-  // Drained-queue gates beyond what the driver enforces internally.
-  require_gate(driver.queue_depth() == 0, "admission queue not drained");
-  require_gate(driver.busy_workers() == 0, "workers busy after drain");
+  // run() already gates the request ledger, the admission queue, the
+  // workers, and the event queue; these two it does not check.
   require_gate(group.shared_swap() != nullptr && group.shared_swap()->queue_depth() == 0,
                "swap queue not drained");
-  require_gate(sim.idle(), "event queue not drained");
-  // Request-ledger identity, re-asserted from the report.
-  require_gate(r.rep.arrivals == opt.requests, "arrivals != configured requests");
-  require_gate(r.rep.admitted + r.rep.rejected == r.rep.arrivals,
-               "admitted + rejected != arrivals");
-  require_gate(r.rep.completed == r.rep.admitted, "completed != admitted");
   require_gate(r.rep.latency.size() == r.rep.completed, "latency samples != completions");
 
   std::ostringstream serving, swap;

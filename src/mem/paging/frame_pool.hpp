@@ -78,6 +78,7 @@ class FramePool {
   FramePool& operator=(const FramePool&) = delete;
 
   const FramePoolConfig& config() const noexcept { return cfg_; }
+  const std::string& name() const noexcept { return name_; }
 
   /// Registers a pager with the pool (and the pool with the pager). Pages
   /// already resident in the pager's address space are seeded into the

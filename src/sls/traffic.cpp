@@ -187,9 +187,12 @@ void TrafficDriver::dispatch(const Pending& req, std::size_t worker) {
     std::size_t pos = 0;
     std::function<void()> next;
   };
-  auto st = std::make_shared<Chain>();
-  st->touches = make_episode(req.id);
-  st->next = [this, st, req, worker, dispatched] {
+  auto chain = std::make_shared<Chain>();
+  chain->touches = make_episode(req.id);
+  // The scheduled touches and fault continuations own the chain; `next`
+  // holds it weakly, since a chain owning itself would never be freed.
+  chain->next = [this, self = std::weak_ptr<Chain>(chain), req, worker, dispatched] {
+    const auto st = self.lock();
     if (st->pos == st->touches.size()) {
       complete(req, worker, dispatched);
       return;
@@ -218,7 +221,7 @@ void TrafficDriver::dispatch(const Pending& req, std::size_t worker) {
     else
       sim_.schedule_now(std::move(access));
   };
-  st->next();
+  chain->next();
 }
 
 void TrafficDriver::complete(const Pending& req, std::size_t worker, Cycles dispatched) {

@@ -7,14 +7,13 @@
 // evictions. After every storm the invariants that define the sharing
 // model are re-checked:
 //
-//   * refcount identity — per-frame mapping counts reconstructed from the
-//     address spaces equal FrameAllocator::refcount, and the pool's
-//     mapped/resident aggregates match,
+//   * ledger audit (sls::audit) — per-frame mapping counts reconstructed
+//     from the address spaces equal FrameAllocator::refcount, the pool's
+//     mapped/resident aggregates match, and every unmap, pager-driven or
+//     external, lands in exactly one bucket,
 //   * fault ledger — per pager, driven unmapped faults == swap_ins +
 //     file_reads + zero_fills + share_hits + inherited_fills, and driven
 //     permission faults == cow_copies + cow_upgrades,
-//   * unmap partition — per pager, bucket entries == pager evictions +
-//     externally evicted pages (each unmap lands in exactly one bucket),
 //   * content — every process reads back exactly the value the reference
 //     model last wrote for it (divergence is never lost, sharing is never
 //     broken), and
@@ -33,6 +32,7 @@
 #include "mem/paging/frame_pool.hpp"
 #include "mem/paging/pager.hpp"
 #include "rt/process.hpp"
+#include "sls/audit.hpp"
 #include "sls/sharded_runner.hpp"
 #include "test_util.hpp"
 
@@ -64,7 +64,6 @@ struct Storm {
   // Driver-side classification + the reference content model.
   std::vector<u64> driven_reads{std::vector<u64>(kProcs, 0)};
   std::vector<u64> driven_cows{std::vector<u64>(kProcs, 0)};
-  std::vector<u64> external_evicted{std::vector<u64>(kProcs, 0)};
   std::vector<std::vector<u64>> anon_model;  // [proc][page] expected value
   std::vector<u64> file_model;               // [page] expected value (shared)
   VirtAddr file_base = 0, anon_base = 0, zero_base = 0;
@@ -165,7 +164,7 @@ struct Storm {
           const u64 p = rng() % (kFilePages + kAnonPages);
           const VirtAddr va = (p < kFilePages ? file_base + p * kPageSz
                                               : anon_base + (p - kFilePages) * kPageSz);
-          external_evicted[w] += procs[w]->evict(va, kPageSz);
+          procs[w]->evict(va, kPageSz);
           break;
         }
         case 4: {  // driven read fault on an evicted/fresh anon page
@@ -184,30 +183,14 @@ struct Storm {
   }
 
   void check_invariants() {
-    // Refcount identity.
-    std::map<u64, u64> per_frame;
-    u64 mappings = 0;
-    for (const auto& as : spaces)
-      as->for_each_resident([&](u64 vpn) {
-        ++per_frame[*as->frame_of(vpn)];
-        ++mappings;
-      });
-    EXPECT_EQ(mappings, pool.mapped_pages());
-    EXPECT_EQ(per_frame.size(), pool.resident_pages());
-    for (const auto& [frame, count] : per_frame) EXPECT_EQ(frames.refcount(frame), count);
-
-    // Ledgers.
+    std::vector<Pager*> all;
+    for (const auto& pg : pagers) all.push_back(pg.get());
+    const sls::Ledgers ledgers = sls::snapshot_ledgers(all, frames, &pool);
+    EXPECT_EQ(sls::audit(ledgers), std::vector<std::string>{});
+    // The fault ledgers against the driver's own classification.
     for (u64 w = 0; w < kProcs; ++w) {
-      const Pager& pg = *pagers[w];
-      EXPECT_EQ(pg.swap_ins() + pg.file_reads() + pg.zero_fills() + pg.share_hits() +
-                    pg.inherited_fills(),
-                driven_reads[w])
-          << "read-fault ledger, w" << w;
-      EXPECT_EQ(pg.cow_copies() + pg.cow_upgrades(), driven_cows[w]) << "COW ledger, w" << w;
-      EXPECT_EQ(pg.swap_releases() + pg.file_drops() + pg.file_writebacks() +
-                    pg.shared_releases(),
-                pg.evictions() + external_evicted[w])
-          << "unmap partition, w" << w;
+      EXPECT_EQ(ledgers.pagers[w].read_faults(), driven_reads[w]) << "read-fault ledger, w" << w;
+      EXPECT_EQ(ledgers.pagers[w].cow_faults(), driven_cows[w]) << "COW ledger, w" << w;
     }
 
     // Content: divergence preserved, sharing coherent.

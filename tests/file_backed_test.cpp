@@ -15,6 +15,7 @@
 #include "mem/walker.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
+#include "sls/audit.hpp"
 #include "test_util.hpp"
 
 namespace vmsls::paging {
@@ -317,9 +318,11 @@ TEST_F(FilePagerFixture, EvictionForkSendsDirtySharedThroughTheCacheNeverSwap) {
 
   ASSERT_NE(translate_sync(base + 2 * kPage), ~0ull);  // evicts clean page 1
   EXPECT_EQ(pager->file_drops(), 1u);
-  // Eviction ledger on a pure-file working set: every pager eviction is a
-  // clean drop or a cache write-through — nothing else can happen.
-  EXPECT_EQ(pager->evictions(), pager->file_drops() + pager->file_writebacks());
+  // Eviction ledger on a pure-file working set: every unmap lands in a
+  // bucket, and only a clean drop or a cache write-through can happen.
+  const sls::Ledgers ledgers = sls::snapshot_ledgers({pager.get()}, ms.frames);
+  EXPECT_EQ(sls::audit(ledgers), std::vector<std::string>{});
+  EXPECT_EQ(ledgers.pagers[0].swap_releases + ledgers.pagers[0].shared_releases, 0u);
 }
 
 TEST_F(FilePagerFixture, FaultLedgerPartitionsFileSwapAndZeroFillTraffic) {

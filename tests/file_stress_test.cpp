@@ -7,12 +7,12 @@
 // bit-identically down to the full stats registry.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <map>
 #include <string>
 
 #include "mem/backing_file.hpp"
 #include "mem/paging/frame_pool.hpp"
+#include "sls/audit.hpp"
 #include "sls/process_group.hpp"
 #include "sls/synthesis.hpp"
 #include "workloads/workloads.hpp"
@@ -67,49 +67,31 @@ RunOutcome run_seed(u64 seed, u64 bcache_capacity) {
     wls[i].setup(sys);
     sys.process().evict(sys.buffer(buf.name), buf.bytes);  // cold start
   }
-  while (sim.step()) {
-  }
-  // The cold-start evicts above route through the lifecycle fork too (the
-  // setup pages are dirty, so they write through the cache) — the eviction
-  // ledger below is therefore a run-phase delta.
-  std::vector<std::array<u64, 4>> before;  // evictions, drops, writebacks, shared_releases
-  for (unsigned i = 0; i < kProcs; ++i) {
-    paging::Pager& pager = *group.process(i).pager();
-    before.push_back({pager.evictions(), pager.file_drops(), pager.file_writebacks(),
-                      pager.shared_releases()});
-  }
+  group.drain();
 
   group.start_all();
   RunOutcome r;
   const u64 events_before = sim.events_executed();
   r.cycles = group.run_to_completion();
-  const Cycles deadline = sim.now() + 1'000'000'000ull;
-  while (sim.step())
-    if (sim.now() > deadline) throw std::runtime_error("stress: queue failed to drain");
+  group.drain();
   EXPECT_FALSE(group.buffer_cache().busy());
   r.events = sim.events_executed() - events_before;
 
+  // Every ledger over the whole run, setup included: the cold-start evicts
+  // above route through the lifecycle fork too (the setup pages are dirty,
+  // so they write through the cache).
+  const sls::Ledgers ledgers = sls::snapshot_ledgers(group);
+  EXPECT_EQ(sls::audit(ledgers), std::vector<std::string>{}) << "seed " << seed;
   for (unsigned i = 0; i < kProcs; ++i) {
     EXPECT_TRUE(wls[i].verify(group.process(i))) << "seed " << seed << " p" << i;
-    paging::Pager& pager = *group.process(i).pager();
-    // File-backed working set: zero swap traffic, every pager eviction a
-    // clean drop, a cache write-through, or — now that the frames are
-    // refcounted — a release of a frame other sharers still hold; every
-    // refault a cache lookup.
-    EXPECT_EQ(pager.swap().reads(), 0u) << "seed " << seed;
-    EXPECT_EQ(pager.swap().writes(), 0u) << "seed " << seed;
-    EXPECT_EQ(pager.swap_ins(), 0u) << "seed " << seed;
-    EXPECT_EQ(pager.evictions() - before[i][0],
-              (pager.file_drops() - before[i][1]) + (pager.file_writebacks() - before[i][2]) +
-                  (pager.shared_releases() - before[i][3]))
-        << "seed " << seed;
-    EXPECT_EQ(pager.file_reads(),
-              pager.buffer_cache().client_hits(pager.bcache_client()) +
-                  pager.buffer_cache().client_misses(pager.bcache_client()))
-        << "seed " << seed;
+    // File-backed working set: zero swap traffic, so every unmap lands in a
+    // file bucket and every refault is a cache lookup.
+    const sls::PagerLedger& pager = ledgers.pagers[i];
+    EXPECT_EQ(pager.swap_reads, 0u) << "seed " << seed;
+    EXPECT_EQ(pager.swap_writes, 0u) << "seed " << seed;
+    EXPECT_EQ(pager.swap_ins, 0u) << "seed " << seed;
+    EXPECT_EQ(pager.swap_releases, 0u) << "seed " << seed;
   }
-  const paging::BufferCache& bc = group.buffer_cache();
-  EXPECT_EQ(bc.misses(), bc.device_reads() + bc.merged_reads()) << "seed " << seed;
 
   r.snapshot = sim.stats().snapshot();
   return r;

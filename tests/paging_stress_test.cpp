@@ -1,8 +1,8 @@
 // Seeded randomized stress/property test for the paging subsystem under
 // DMA offload traffic: faults, scatter-gather and CPU-copy offloads, and
 // pageout-daemon ticks interleave freely over ~20 seeds. After every run
-// the queue must drain, every pin must be released, the swap-device and
-// residency ledgers must balance, and the same seed must reproduce the
+// the queue must drain, every pin must be released, the ledger audit and
+// the residency ledger must balance, and the same seed must reproduce the
 // run bit-identically (cycles, events, every counter and histogram
 // moment) — the determinism contract the whole experiment harness rests
 // on.
@@ -17,6 +17,7 @@
 #include "mem/paging/pager.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
+#include "sls/audit.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -111,10 +112,11 @@ StressSnapshot run_chaos(u64 seed) {
   EXPECT_EQ(*completed, *issued) << "seed " << seed;
   EXPECT_EQ(ms.as.pinned_pages(), 0u) << "seed " << seed;
   EXPECT_EQ(driver.pins_held(), 0u) << "seed " << seed;
-  // Swap ledger: every pager swap-in is exactly one device read, and every
-  // device write is either a fault-path writeback or a daemon pageout.
-  EXPECT_EQ(pager.swap().reads(), pager.swap_ins()) << "seed " << seed;
-  EXPECT_EQ(pager.swap().writes(), pager.writebacks() + pager.pageouts()) << "seed " << seed;
+  // Swap ledger (readahead is off): every pager swap-in is exactly one
+  // device read, and every device write is either a fault-path writeback or
+  // a daemon pageout; every unmap lands in exactly one bucket.
+  EXPECT_EQ(sls::audit(sls::snapshot_ledgers({&pager}, ms.frames)), std::vector<std::string>{})
+      << "seed " << seed;
   // Residency ledger: pages mapped since the cold start minus evictions is
   // exactly what remains resident (nothing leaks, nothing double-frees).
   EXPECT_EQ(ms.as.resident_pages(), ms.as.faults_serviced() - maps_at_start - pager.evictions())

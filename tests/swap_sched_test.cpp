@@ -18,6 +18,7 @@
 #include "mem/paging/swap_scheduler.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
+#include "sls/audit.hpp"
 #include "sls/dse.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
@@ -268,7 +269,8 @@ TEST(SwapReadahead, PrefetchesNeighborsLandsCleanAndBalancesLedger) {
   // Contents really came from the backing store.
   EXPECT_EQ(h.ms.as.read_u64(base + 3 * 4096), 0xAB03u);
   // Ledger: every device read is a swap-in or a prefetch.
-  EXPECT_EQ(h.pager.swap().reads(), h.pager.swap_ins() + h.pager.prefetches());
+  EXPECT_EQ(sls::audit(sls::snapshot_ledgers({&h.pager}, h.ms.frames)),
+            std::vector<std::string>{});
 
   // A reference observed through the accessed-bit funnel graduates the
   // page: accuracy counters move, the speculative flag clears.
@@ -325,11 +327,7 @@ TEST(SwapReadahead, PrefetchStopsAtBudgetAndWrongPathIsReclaimedFirst) {
 struct GroupRun {
   Cycles cycles = 0;
   u64 events = 0;
-  u64 swap_ins = 0;
-  u64 evictions = 0;
-  u64 writebacks = 0;
-  u64 reads = 0;
-  u64 writes = 0;
+  sls::PagerLedger ledger;
 };
 
 GroupRun run_single_member(bool shared) {
@@ -364,12 +362,7 @@ GroupRun run_single_member(bool shared) {
   if (!wl.verify(group.process(0))) throw std::runtime_error("verification failed");
   test::run_until_drained(sim);  // queued writebacks/prefetches finish
   r.events = sim.events_executed() - before;
-  auto* pager = system.pager();
-  r.swap_ins = pager->swap_ins();
-  r.evictions = pager->evictions();
-  r.writebacks = pager->writebacks();
-  r.reads = pager->swap().reads();
-  r.writes = pager->swap().writes();
+  r.ledger = sls::snapshot_ledgers(group).pagers.at(0);
   return r;
 }
 
@@ -382,12 +375,8 @@ TEST(SwapScheduler, SharedSingleMemberBitIdenticalToPrivateDevice) {
   const GroupRun shared = run_single_member(/*shared=*/true);
   EXPECT_EQ(priv.cycles, shared.cycles);
   EXPECT_EQ(priv.events, shared.events);
-  EXPECT_EQ(priv.swap_ins, shared.swap_ins);
-  EXPECT_EQ(priv.evictions, shared.evictions);
-  EXPECT_EQ(priv.writebacks, shared.writebacks);
-  EXPECT_EQ(priv.reads, shared.reads);
-  EXPECT_EQ(priv.writes, shared.writes);
-  EXPECT_GT(priv.swap_ins, 0u);  // the contract is vacuous without pressure
+  EXPECT_TRUE(priv.ledger == shared.ledger);  // every fault, unmap, and device counter
+  EXPECT_GT(priv.ledger.swap_ins, 0u);        // the contract is vacuous without pressure
 }
 
 TEST(SwapDse, ExploreSwapGridSerialEqualsParallel) {
