@@ -19,6 +19,9 @@
 //   3. background-service ablation: working-set auto-budgets and the
 //      proactive pageout daemon on top of the per-process baseline.
 //
+// Every run drains its event queue and must pass the ledger audit
+// (sls::audit); a violated identity fails the bench.
+//
 // Deterministic: workload data, attach order, policy seeds, and event
 // order are all fixed — rerunning produces identical tables (pinned by
 // tests/oversub_test.cpp).
@@ -27,6 +30,7 @@
 
 #include "bench_util.hpp"
 #include "mem/paging/frame_pool.hpp"
+#include "sls/audit.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
 #include "util/table.hpp"
@@ -162,6 +166,10 @@ MixResult run_mix(const MixOptions& opt) {
     }
     sls::write_frame_pool_summary(std::cout, sim.stats());
   }
+  // Retire queued writebacks and pageouts, then balance every ledger.
+  group.drain();
+  if (const auto violations = sls::audit(sls::snapshot_ledgers(group)); !violations.empty())
+    throw std::runtime_error("fig10: " + violations.front());
   return r;
 }
 

@@ -20,6 +20,8 @@
 //   * drained queues — the admission queue, every worker, and the event
 //     queue (TrafficDriver::run) and the swap queue (here) are all empty
 //     after the run,
+//   * ledger audit (sls::audit) — every pager, swap-device, and pool
+//     identity balances after the run,
 //   * sustainable points reject nothing (a drop would make "max QPS" a
 //     lie),
 //   * bit-identical rerun — one grid point rerun on a fresh simulator
@@ -47,6 +49,7 @@
 
 #include "bench_util.hpp"
 #include "mem/paging/swap_scheduler.hpp"
+#include "sls/audit.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
 #include "sls/sharded_runner.hpp"
@@ -142,10 +145,13 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   r.host_ms = timer.ms();
 
   // run() already gates the request ledger, the admission queue, the
-  // workers, and the event queue; these two it does not check.
+  // workers, and the event queue; these two and the ledger audit it does
+  // not check.
   require_gate(group.shared_swap() != nullptr && group.shared_swap()->queue_depth() == 0,
                "swap queue not drained");
   require_gate(r.rep.latency.size() == r.rep.completed, "latency samples != completions");
+  if (const auto violations = sls::audit(sls::snapshot_ledgers(group)); !violations.empty())
+    throw std::runtime_error("fig15: " + violations.front());
 
   std::ostringstream serving, swap;
   sls::write_serving_summary(serving, sim.stats());

@@ -301,7 +301,7 @@ int main() {
       sls::DesignSpaceExplorer dse(sls::zynq7020());
       dse.set_threads(threads);
       bench::WallTimer t;
-      const auto result = dse.explore_tlb(app, "worker", candidates, evaluate);
+      const auto result = dse.explore(app, {sls::tlb_axis("worker", candidates)}, evaluate);
       const double ms = t.ms();
       const std::string name = "dse_tlb_" + std::to_string(threads) + "t";
       table.add_row({name, Table::num(static_cast<double>(candidates.size()) / (ms / 1000.0), 2),

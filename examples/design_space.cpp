@@ -32,16 +32,18 @@ int main() {
     return c;
   };
 
-  const auto result = dse.explore_tlb(app, "worker", {4, 8, 16, 32, 64, 128}, evaluate);
+  const std::vector<unsigned> entries = {4, 8, 16, 32, 64, 128};
+  const auto result = dse.explore(app, {sls::tlb_axis("worker", entries)}, evaluate);
 
   Table table({"tlb_entries", "LUTs", "fits", "cycles"});
   for (const auto& c : result.candidates)
-    table.add_row({Table::num(static_cast<u64>(c.tlb_entries)), Table::num(c.total.luts),
+    table.add_row({Table::num(static_cast<u64>(entries[c.point[0]])), Table::num(c.total.luts),
                    c.fits ? "yes" : "no", c.measured ? Table::num(c.cycles) : "-"});
   table.print(std::cout, "TLB design space for hash_join (" + std::to_string(params.n) + " keys)");
 
-  if (result.best >= 0)
-    std::cout << "chosen: " << result.candidates[static_cast<std::size_t>(result.best)].tlb_entries
-              << " entries\n";
+  if (result.best >= 0) {
+    const auto& best = result.candidates[static_cast<std::size_t>(result.best)];
+    std::cout << "chosen: " << entries[best.point[0]] << " entries\n";
+  }
   return result.best >= 0 ? 0 : 1;
 }

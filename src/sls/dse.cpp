@@ -8,153 +8,98 @@
 
 namespace vmsls::sls {
 
+namespace {
+
+/// `app`'s thread named `name`; throws std::out_of_range for unknown names.
+ThreadSpec& thread_of(AppSpec& app, const std::string& name) {
+  return const_cast<ThreadSpec&>(std::as_const(app).thread(name));
+}
+
+}  // namespace
+
+Axis tlb_axis(const std::string& thread, std::vector<unsigned> entries) {
+  for (unsigned e : entries)
+    require(e > 0, "TLB axis for thread '" + thread + "': 0 entries is not a TLB");
+  const std::size_t size = entries.size();
+  return {"tlb", size,
+          [thread, entries = std::move(entries)](std::size_t i, PlatformSpec& plat,
+                                                 SynthesisOptions&, AppSpec& app) {
+            ThreadSpec& t = thread_of(app, thread);
+            mem::TlbConfig tlb = t.tlb_override.value_or(plat.default_tlb);
+            tlb.entries = entries[i];
+            tlb.ways = std::min(tlb.ways, tlb.entries);
+            while (tlb.entries % tlb.ways != 0) tlb.ways /= 2;  // keep geometry legal
+            t.tlb_override = tlb;
+          }};
+}
+
+Axis pager_axis(std::vector<PagerCandidate> points) {
+  const std::size_t size = points.size();
+  return {"pager", size,
+          [points = std::move(points)](std::size_t i, PlatformSpec& plat, SynthesisOptions&,
+                                       AppSpec&) {
+            plat.pager.frame_budget = points[i].frame_budget;
+            plat.pager.policy = points[i].policy;
+          }};
+}
+
+Axis offload_axis(const std::string& thread, std::vector<OffloadCandidate> points) {
+  const std::size_t size = points.size();
+  return {"offload", size,
+          [thread, points = std::move(points)](std::size_t i, PlatformSpec& plat,
+                                               SynthesisOptions& opts, AppSpec& app) {
+            thread_of(app, thread).addressing =
+                points[i].include_dma ? Addressing::kPhysical : Addressing::kVirtual;
+            opts.include_dma = points[i].include_dma;
+            plat.offload.mode = points[i].mode;
+          }};
+}
+
+Axis swap_axis(std::vector<SwapCandidate> points) {
+  const std::size_t size = points.size();
+  return {"swap", size,
+          [points = std::move(points)](std::size_t i, PlatformSpec& plat, SynthesisOptions&,
+                                       AppSpec&) {
+            plat.pager.swap.sched = points[i].sched;
+            plat.pager.swap.readahead = points[i].readahead;
+          }};
+}
+
 DesignSpaceExplorer::DesignSpaceExplorer(PlatformSpec platform, SynthesisOptions options)
     : platform_(std::move(platform)), options_(options) {
   // Infeasible candidates are data points, not errors, during exploration.
   options_.strict_budget = false;
 }
 
-DseResult DesignSpaceExplorer::explore_tlb(const AppSpec& app, const std::string& thread,
-                                           const std::vector<unsigned>& entry_candidates,
-                                           const Evaluator& evaluate) {
-  // A single pager point — the platform's configured operating point — so
-  // this stays the plain TLB sweep it always was.
-  PagerCandidate base;
-  base.frame_budget = platform_.pager.frame_budget;
-  base.policy = platform_.pager.policy;
-  return explore_pager_tlb(app, thread, entry_candidates, {base}, evaluate);
-}
-
-DseResult DesignSpaceExplorer::explore_pager_tlb(const AppSpec& app, const std::string& thread,
-                                                 const std::vector<unsigned>& entry_candidates,
-                                                 const std::vector<PagerCandidate>& pager_candidates,
-                                                 const Evaluator& evaluate) {
-  require(!entry_candidates.empty(), "DSE needs at least one TLB candidate");
-  require(!pager_candidates.empty(), "DSE needs at least one pager candidate");
-  app.thread(thread);  // throws for unknown thread names
-
-  DseResult result;
+DseResult DesignSpaceExplorer::explore(const AppSpec& app, const std::vector<Axis>& grid,
+                                       const Evaluator& evaluate) {
+  std::size_t total = 1;
+  for (const Axis& axis : grid) {
+    require(axis.size > 0, "DSE axis '" + axis.name + "' has no values");
+    total *= axis.size;
+  }
 
   // Phase 1 (serial): synthesize every grid point. This is host-microseconds
   // per point; keeping it on one thread keeps SynthesisFlow single-threaded.
+  DseResult result;
   std::vector<SystemImage> images;
-  images.reserve(entry_candidates.size() * pager_candidates.size());
-  for (const PagerCandidate& pc : pager_candidates) {
+  images.reserve(total);
+  std::vector<std::size_t> point(grid.size(), 0);
+  for (std::size_t n = 0; n < total; ++n) {
     PlatformSpec plat = platform_;
-    plat.pager.frame_budget = pc.frame_budget;
-    plat.pager.policy = pc.policy;
-    SynthesisFlow flow(plat, options_);
-    for (unsigned entries : entry_candidates) {
-      AppSpec variant = app;
-      for (auto& t : variant.threads) {
-        if (t.name != thread) continue;
-        mem::TlbConfig tlb = t.tlb_override.value_or(platform_.default_tlb);
-        tlb.entries = entries;
-        tlb.ways = std::min(tlb.ways, entries);
-        while (entries % tlb.ways != 0) tlb.ways /= 2;  // keep geometry legal
-        t.tlb_override = tlb;
-      }
-
-      images.push_back(flow.synthesize(variant));
-      DseCandidate cand;
-      cand.tlb_entries = entries;
-      cand.frame_budget = pc.frame_budget;
-      cand.policy = pc.policy;
-      cand.total = images.back().report().total;
-      cand.resource_utilization = images.back().report().utilization;
-      cand.fits = images.back().report().fits_budget;
-      result.candidates.push_back(cand);
-    }
-  }
-
-  score(images, result, evaluate);
-  pick_best(result);
-  return result;
-}
-
-DseResult DesignSpaceExplorer::explore_offload_pager(
-    const AppSpec& app, const std::string& thread,
-    const std::vector<OffloadCandidate>& offload_candidates,
-    const std::vector<PagerCandidate>& pager_candidates, const Evaluator& evaluate) {
-  require(!offload_candidates.empty(), "DSE needs at least one offload candidate");
-  require(!pager_candidates.empty(), "DSE needs at least one pager candidate");
-  app.thread(thread);  // throws for unknown thread names
-
-  DseResult result;
-
-  // Phase 1 (serial): synthesize the offload × pager grid. A DMA point
-  // runs the kernel against physical addresses (the copy-based flow), so
-  // the target thread's addressing flips per offload candidate.
-  std::vector<SystemImage> images;
-  images.reserve(offload_candidates.size() * pager_candidates.size());
-  for (const OffloadCandidate& oc : offload_candidates) {
-    AppSpec variant = app;
-    for (auto& t : variant.threads) {
-      if (t.name != thread) continue;
-      t.addressing = oc.include_dma ? Addressing::kPhysical : Addressing::kVirtual;
-    }
     SynthesisOptions opts = options_;
-    opts.include_dma = oc.include_dma;
-    for (const PagerCandidate& pc : pager_candidates) {
-      PlatformSpec plat = platform_;
-      plat.pager.frame_budget = pc.frame_budget;
-      plat.pager.policy = pc.policy;
-      plat.offload.mode = oc.mode;
-      SynthesisFlow flow(plat, opts);
+    AppSpec variant = app;
+    for (std::size_t a = 0; a < grid.size(); ++a) grid[a].apply(point[a], plat, opts, variant);
+    images.push_back(SynthesisFlow(plat, opts).synthesize(variant));
+    const SynthesisReport& report = images.back().report();
+    result.candidates.push_back(
+        {.point = point, .total = report.total, .resource_utilization = report.utilization,
+         .fits = report.fits_budget});
 
-      images.push_back(flow.synthesize(variant));
-      DseCandidate cand;
-      cand.frame_budget = pc.frame_budget;
-      cand.policy = pc.policy;
-      cand.include_dma = oc.include_dma;
-      cand.copy_mode = oc.mode;
-      cand.total = images.back().report().total;
-      cand.resource_utilization = images.back().report().utilization;
-      cand.fits = images.back().report().fits_budget;
-      result.candidates.push_back(cand);
-    }
-  }
-
-  score(images, result, evaluate);
-  pick_best(result);
-  return result;
-}
-
-DseResult DesignSpaceExplorer::explore_swap(const AppSpec& app, const std::string& thread,
-                                            const std::vector<SwapCandidate>& swap_candidates,
-                                            const std::vector<PagerCandidate>& pager_candidates,
-                                            const Evaluator& evaluate) {
-  require(!swap_candidates.empty(), "DSE needs at least one swap candidate");
-  require(!pager_candidates.empty(), "DSE needs at least one pager candidate");
-  app.thread(thread);  // throws for unknown thread names
-
-  DseResult result;
-
-  // Phase 1 (serial): synthesize the swap × pager grid. The swap knobs are
-  // runtime configuration, not fabric, so every point reuses the same
-  // resource shape — but each still elaborates with its own scheduler
-  // policy and readahead depth for scoring.
-  std::vector<SystemImage> images;
-  images.reserve(swap_candidates.size() * pager_candidates.size());
-  for (const SwapCandidate& sc : swap_candidates) {
-    for (const PagerCandidate& pc : pager_candidates) {
-      PlatformSpec plat = platform_;
-      plat.pager.frame_budget = pc.frame_budget;
-      plat.pager.policy = pc.policy;
-      plat.pager.swap.sched = sc.sched;
-      plat.pager.swap.readahead = sc.readahead;
-      SynthesisFlow flow(plat, options_);
-
-      images.push_back(flow.synthesize(app));
-      DseCandidate cand;
-      cand.frame_budget = pc.frame_budget;
-      cand.policy = pc.policy;
-      cand.swap_sched = sc.sched;
-      cand.readahead = sc.readahead;
-      cand.total = images.back().report().total;
-      cand.resource_utilization = images.back().report().utilization;
-      cand.fits = images.back().report().fits_budget;
-      result.candidates.push_back(cand);
+    // Next point, last axis fastest.
+    for (std::size_t a = grid.size(); a-- > 0;) {
+      if (++point[a] < grid[a].size) break;
+      point[a] = 0;
     }
   }
 
@@ -172,7 +117,7 @@ void DesignSpaceExplorer::pick_best(DseResult& result) {
       continue;
     }
     const auto& b = result.candidates[static_cast<std::size_t>(result.best)];
-    const bool better = c.measured ? (c.cycles < b.cycles) : (c.tlb_entries > b.tlb_entries);
+    const bool better = c.measured ? (c.cycles < b.cycles) : (c.total.luts > b.total.luts);
     if (better) result.best = static_cast<int>(i);
   }
 }

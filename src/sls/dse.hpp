@@ -1,15 +1,17 @@
 // Design-space exploration over interface-synthesis parameters.
 //
 // The flow's main tunables are each thread's TLB geometry (more entries
-// cost fabric resources but cut miss/walk traffic) and — once the platform
-// models memory pressure — the pager operating point (frame budget ×
-// replacement policy). The explorer synthesizes one image per candidate,
-// checks the resource budget, and (optionally) scores candidates by
-// running the elaborated system — the measure-everything approach a
-// simulator substrate makes cheap. Scoring fans out over a host thread
-// pool; results are bit-identical to the serial sweep.
+// cost fabric resources but cut miss/walk traffic), the pager operating
+// point (frame budget × replacement policy), the offload mode (SVM or a
+// copy-based DMA flow) and the swap I/O operating point. Each is an `Axis`;
+// `explore` walks the cross product of a grid of axes, synthesizes one
+// image per candidate, checks the resource budget, and (optionally) scores
+// candidates by running the elaborated system — the measure-everything
+// approach a simulator substrate makes cheap. Scoring fans out over a host
+// thread pool; results are bit-identical to the serial sweep.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -21,41 +23,54 @@
 
 namespace vmsls::sls {
 
-/// One pager operating point for the pager × TLB grid sweep.
+/// One dimension of the design space: `size` values, and `apply(i, ...)`
+/// sets value `i` on a candidate's copy of the platform, synthesis options
+/// and application.
+struct Axis {
+  std::string name;
+  std::size_t size = 0;
+  std::function<void(std::size_t, PlatformSpec&, SynthesisOptions&, AppSpec&)> apply;
+};
+
+/// One pager operating point: frame budget × replacement policy.
 struct PagerCandidate {
   u64 frame_budget = 0;  // 0 = pressure-free (pager inert)
   paging::PolicyKind policy = paging::PolicyKind::kClock;
 };
 
-/// One offload operating point for the offload-mode × pager grid: the SVM
-/// flow (include_dma = false, virtual addressing) or the copy-based
-/// baseline in one of its copy modes (physical addressing, DMA engine +
-/// offload driver elaborated).
+/// One offload operating point: the SVM flow (include_dma = false, virtual
+/// addressing) or the copy-based baseline in one of its copy modes
+/// (physical addressing, DMA engine + offload driver elaborated).
 struct OffloadCandidate {
   bool include_dma = false;
   dma::CopyMode mode = dma::CopyMode::kSgDma;
 };
 
-/// One swap I/O operating point for the swap grid: request-queue dispatch
-/// policy × swap-in readahead depth.
+/// One swap I/O operating point: request-queue dispatch policy × swap-in
+/// readahead depth.
 struct SwapCandidate {
   paging::SwapSchedPolicy sched = paging::SwapSchedPolicy::kFifo;
   unsigned readahead = 0;
 };
 
+/// `thread`'s TLB size (ways shrink to keep the geometry legal). Throws
+/// std::invalid_argument for a 0-entry value; explore throws
+/// std::out_of_range when the app has no such thread.
+Axis tlb_axis(const std::string& thread, std::vector<unsigned> entries);
+/// The platform's pager operating point.
+Axis pager_axis(std::vector<PagerCandidate> points);
+/// Offload mode: a DMA point synthesizes `thread` physically addressed with
+/// the engine + driver included (the evaluator drives the copy-in/compute/
+/// copy-out flow and can read the operating point off the image); an SVM
+/// point keeps it virtually addressed.
+Axis offload_axis(const std::string& thread, std::vector<OffloadCandidate> points);
+/// The swap scheduler's dispatch policy and readahead depth. These are
+/// runtime configuration, not fabric: every point has the same resources.
+Axis swap_axis(std::vector<SwapCandidate> points);
+
 struct DseCandidate {
-  unsigned tlb_entries = 0;
-  /// Pager operating point this candidate was synthesized with (the
-  /// platform default for plain TLB sweeps).
-  u64 frame_budget = 0;
-  paging::PolicyKind policy = paging::PolicyKind::kClock;
-  /// Offload operating point (explore_offload_pager axis; SVM otherwise).
-  bool include_dma = false;
-  dma::CopyMode copy_mode = dma::CopyMode::kSgDma;
-  /// Swap I/O operating point (explore_swap axis; the platform default
-  /// otherwise).
-  paging::SwapSchedPolicy swap_sched = paging::SwapSchedPolicy::kFifo;
-  unsigned readahead = 0;
+  /// This candidate's value index on each axis, in grid order.
+  std::vector<std::size_t> point;
   Resources total{};
   double resource_utilization = 0.0;
   bool fits = false;
@@ -66,8 +81,9 @@ struct DseCandidate {
 struct DseResult {
   std::vector<DseCandidate> candidates;
   /// Index into `candidates` of the chosen point: the fastest fitting
-  /// candidate when measured, otherwise the largest fitting TLB (monotone
-  /// miss-rate assumption). -1 if nothing fits.
+  /// candidate when measured, otherwise the fitting candidate with the most
+  /// LUTs (on a TLB axis, the largest fitting TLB — the monotone miss-rate
+  /// assumption). First wins ties; -1 if nothing fits.
   int best = -1;
 };
 
@@ -93,41 +109,22 @@ class DesignSpaceExplorer {
   void set_threads(unsigned threads) noexcept { threads_ = threads == 0 ? 1 : threads; }
   unsigned threads() const noexcept { return threads_; }
 
-  /// Sweeps `thread`'s TLB size over `entry_candidates` at the platform's
-  /// configured pager operating point.
-  DseResult explore_tlb(const AppSpec& app, const std::string& thread,
-                        const std::vector<unsigned>& entry_candidates,
-                        const Evaluator& evaluate = nullptr);
+  /// Sweeps the cross product of `grid`, first axis major (grid[0]'s first
+  /// value × every point of the other axes comes first). Every candidate is
+  /// synthesized on the calling thread before any is scored. An empty grid
+  /// is the platform's own operating point; an axis with no values throws
+  /// std::invalid_argument.
+  DseResult explore(const AppSpec& app, const std::vector<Axis>& grid,
+                    const Evaluator& evaluate = nullptr);
 
-  /// Grid sweep: pager operating points × TLB sizes, all candidates
-  /// synthesized serially and scored through one thread pool. Candidate
-  /// order is pager-major (pager_candidates[0] × every TLB size first).
+  /// Pager operating points × `thread`'s TLB sizes, pager-major.
   DseResult explore_pager_tlb(const AppSpec& app, const std::string& thread,
                               const std::vector<unsigned>& entry_candidates,
                               const std::vector<PagerCandidate>& pager_candidates,
-                              const Evaluator& evaluate = nullptr);
-
-  /// Grid sweep: offload modes × pager operating points — the paper's
-  /// SVM-vs-DMA axis crossed with the memory-pressure axis. DMA candidates
-  /// synthesize `thread` physically addressed with the engine + driver
-  /// included (the evaluator drives the copy-in/compute/copy-out flow and
-  /// can read the operating point off the image); SVM candidates stay
-  /// virtually addressed. Candidate order is offload-major; scoring fans
-  /// out over the same thread pool, bit-identical to the serial sweep.
-  DseResult explore_offload_pager(const AppSpec& app, const std::string& thread,
-                                  const std::vector<OffloadCandidate>& offload_candidates,
-                                  const std::vector<PagerCandidate>& pager_candidates,
-                                  const Evaluator& evaluate = nullptr);
-
-  /// Grid sweep over the shared-swap subsystem's operating points: dispatch
-  /// policy × readahead depth × pager budget point, all scored through the
-  /// same thread pool. Candidate order is swap-major (swap_candidates[0] ×
-  /// every pager point first); results are bit-identical to the serial
-  /// sweep.
-  DseResult explore_swap(const AppSpec& app, const std::string& thread,
-                         const std::vector<SwapCandidate>& swap_candidates,
-                         const std::vector<PagerCandidate>& pager_candidates,
-                         const Evaluator& evaluate = nullptr);
+                              const Evaluator& evaluate = nullptr) {
+    return explore(app, {pager_axis(pager_candidates), tlb_axis(thread, entry_candidates)},
+                   evaluate);
+  }
 
  private:
   void score(std::vector<SystemImage>& images, DseResult& result, const Evaluator& evaluate);

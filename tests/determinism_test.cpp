@@ -89,15 +89,15 @@ TEST(Determinism, SerialAndParallelDseIdentical) {
 
   sls::DesignSpaceExplorer serial(sls::zynq7020());
   serial.set_threads(1);
-  const auto a = serial.explore_tlb(app, "worker", candidates, evaluate);
+  const auto a = serial.explore(app, {sls::tlb_axis("worker", candidates)}, evaluate);
 
   sls::DesignSpaceExplorer parallel(sls::zynq7020());
   parallel.set_threads(4);
-  const auto b = parallel.explore_tlb(app, "worker", candidates, evaluate);
+  const auto b = parallel.explore(app, {sls::tlb_axis("worker", candidates)}, evaluate);
 
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-    EXPECT_EQ(a.candidates[i].tlb_entries, b.candidates[i].tlb_entries);
+    EXPECT_EQ(a.candidates[i].point, b.candidates[i].point);
     EXPECT_EQ(a.candidates[i].fits, b.candidates[i].fits);
     EXPECT_EQ(a.candidates[i].measured, b.candidates[i].measured);
     EXPECT_EQ(a.candidates[i].cycles, b.candidates[i].cycles);

@@ -376,8 +376,10 @@ TEST(DsePagerGrid, SerialAndParallelGridIdentical) {
 
   sls::DesignSpaceExplorer serial(sls::zynq7020());
   serial.set_threads(1);
-  const auto a = serial.explore_pager_tlb(app, "worker", tlbs, pagers, evaluate);
+  const std::vector<sls::Axis> grid = {sls::pager_axis(pagers), sls::tlb_axis("worker", tlbs)};
+  const auto a = serial.explore(app, grid, evaluate);
 
+  // explore_pager_tlb is this same grid under its named form.
   sls::DesignSpaceExplorer parallel(sls::zynq7020());
   parallel.set_threads(4);
   const auto b = parallel.explore_pager_tlb(app, "worker", tlbs, pagers, evaluate);
@@ -385,16 +387,17 @@ TEST(DsePagerGrid, SerialAndParallelGridIdentical) {
   ASSERT_EQ(a.candidates.size(), tlbs.size() * pagers.size());
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-    EXPECT_EQ(a.candidates[i].tlb_entries, b.candidates[i].tlb_entries);
-    EXPECT_EQ(a.candidates[i].frame_budget, b.candidates[i].frame_budget);
-    EXPECT_EQ(a.candidates[i].policy, b.candidates[i].policy);
+    // Pager-major: the pager index advances once per full TLB sweep.
+    EXPECT_EQ(a.candidates[i].point, (std::vector<std::size_t>{i / tlbs.size(), i % tlbs.size()}));
+    EXPECT_EQ(a.candidates[i].point, b.candidates[i].point);
+    EXPECT_EQ(a.candidates[i].fits, b.candidates[i].fits);
     EXPECT_EQ(a.candidates[i].measured, b.candidates[i].measured);
     EXPECT_EQ(a.candidates[i].cycles, b.candidates[i].cycles);
   }
   EXPECT_EQ(a.best, b.best);
   ASSERT_GE(a.best, 0);
   // Pressure-free candidates must beat the budget-constrained ones.
-  EXPECT_EQ(a.candidates[static_cast<std::size_t>(a.best)].frame_budget, 0u);
+  EXPECT_EQ(pagers[a.candidates[static_cast<std::size_t>(a.best)].point[0]].frame_budget, 0u);
 }
 
 TEST(DsePagerGrid, ExploreTlbStillSweepsAtThePlatformOperatingPoint) {
@@ -403,9 +406,14 @@ TEST(DsePagerGrid, ExploreTlbStillSweepsAtThePlatformOperatingPoint) {
   auto wl = workloads::make_workload("matmul", p);
   auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
   sls::DesignSpaceExplorer dse(sls::zynq7020());
-  const auto r = dse.explore_tlb(app, "worker", {2, 4, 8});
+  // A TLB-only grid keeps the platform's own (pressure-free) pager point.
+  const auto r = dse.explore(app, {sls::tlb_axis("worker", {2, 4, 8})},
+                             [](const sls::SystemImage& image) -> Cycles {
+                               EXPECT_EQ(image.platform().pager.frame_budget, 0u);
+                               return 1;
+                             });
   ASSERT_EQ(r.candidates.size(), 3u);
-  for (const auto& c : r.candidates) EXPECT_EQ(c.frame_budget, 0u);
+  for (const auto& c : r.candidates) EXPECT_TRUE(c.measured);
   EXPECT_GE(r.best, 0);
 }
 

@@ -13,7 +13,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "sls/audit.hpp"
 #include "sls/process_group.hpp"
 #include "sls/traffic.hpp"
 #include "workloads/workloads.hpp"
@@ -77,6 +79,7 @@ TrafficDriver::Report run_once(const PlatformSpec& plat, unsigned workers) {
   EXPECT_NE(group.shared_swap(), nullptr);
   if (group.shared_swap() != nullptr) EXPECT_EQ(group.shared_swap()->queue_depth(), 0u);
   EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(audit(snapshot_ledgers(group)), std::vector<std::string>{});
   return rep;
 }
 

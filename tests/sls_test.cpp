@@ -302,12 +302,14 @@ TEST(System, ElaborateTwiceGivesIndependentSystems) {
 
 TEST(Dse, SweepsAndPicksFittingPoint) {
   DesignSpaceExplorer dse(zynq7020());
-  const auto result = dse.explore_tlb(small_app(), "worker", {4, 16, 64});
+  const std::vector<unsigned> entries = {4, 16, 64};
+  const auto result = dse.explore(small_app(), {tlb_axis("worker", entries)});
   ASSERT_EQ(result.candidates.size(), 3u);
   EXPECT_LT(result.candidates[0].total.luts, result.candidates[2].total.luts);
   ASSERT_GE(result.best, 0);
-  // Unmeasured: picks the largest fitting TLB.
-  EXPECT_EQ(result.candidates[static_cast<std::size_t>(result.best)].tlb_entries, 64u);
+  // Unmeasured: picks the fitting candidate with the most LUTs, which on a
+  // TLB axis is the largest fitting TLB.
+  EXPECT_EQ(entries[result.candidates[static_cast<std::size_t>(result.best)].point[0]], 64u);
 }
 
 TEST(Dse, MeasuredSweepPicksFastest) {
@@ -318,13 +320,14 @@ TEST(Dse, MeasuredSweepPicksFastest) {
   app.threads[0].footprint_hint_bytes = 0;
 
   DesignSpaceExplorer dse(zynq7020());
-  const auto result = dse.explore_tlb(app, "worker", {2, 16}, [&](const SystemImage& image) {
+  const auto evaluate = [&](const SystemImage& image) {
     sim::Simulator sim;
     auto system = image.elaborate(sim);
     wl.setup(*system);
     system->start_all();
     return system->run_to_completion();
-  });
+  };
+  const auto result = dse.explore(app, {tlb_axis("worker", {2, 16})}, evaluate);
   ASSERT_EQ(result.candidates.size(), 2u);
   EXPECT_TRUE(result.candidates[0].measured);
   ASSERT_GE(result.best, 0);
@@ -334,7 +337,28 @@ TEST(Dse, MeasuredSweepPicksFastest) {
 
 TEST(Dse, UnknownThreadRejected) {
   DesignSpaceExplorer dse(zynq7020());
-  EXPECT_THROW(dse.explore_tlb(small_app(), "ghost", {4}), std::out_of_range);
+  EXPECT_THROW(dse.explore(small_app(), {tlb_axis("ghost", {4})}), std::out_of_range);
+}
+
+TEST(Dse, ZeroEntryTlbRejected) {
+  // A 0-entry TLB has no legal geometry (its ways would be 0): the axis
+  // rejects it up front, naming the thread.
+  try {
+    tlb_axis("worker", {4, 0});
+    FAIL() << "a 0-entry TLB candidate was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("worker"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Dse, EmptyAxisRejected) {
+  DesignSpaceExplorer dse(zynq7020());
+  try {
+    dse.explore(small_app(), {tlb_axis("worker", {4}), pager_axis({})});
+    FAIL() << "an axis with no values was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("pager"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -400,27 +400,73 @@ TEST(SwapDse, ExploreSwapGridSerialEqualsParallel) {
 
   sls::DesignSpaceExplorer serial(sls::zynq7020());
   serial.set_threads(1);
-  const auto a = serial.explore_swap(app, "worker", swaps, budgets, evaluate);
+  const std::vector<sls::Axis> grid = {sls::swap_axis(swaps), sls::pager_axis(budgets)};
+  const auto a = serial.explore(app, grid, evaluate);
 
   sls::DesignSpaceExplorer parallel(sls::zynq7020());
   parallel.set_threads(4);
-  const auto b = parallel.explore_swap(app, "worker", swaps, budgets, evaluate);
+  const auto b = parallel.explore(app, grid, evaluate);
 
   ASSERT_EQ(a.candidates.size(), swaps.size() * budgets.size());
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-    EXPECT_EQ(a.candidates[i].swap_sched, b.candidates[i].swap_sched);
-    EXPECT_EQ(a.candidates[i].readahead, b.candidates[i].readahead);
-    EXPECT_EQ(a.candidates[i].frame_budget, b.candidates[i].frame_budget);
+    EXPECT_EQ(a.candidates[i].point, b.candidates[i].point);
+    EXPECT_EQ(a.candidates[i].fits, b.candidates[i].fits);
     EXPECT_EQ(a.candidates[i].measured, b.candidates[i].measured);
     EXPECT_EQ(a.candidates[i].cycles, b.candidates[i].cycles);
   }
   EXPECT_EQ(a.best, b.best);
   ASSERT_GE(a.best, 0);
   // The grid is swap-major: candidate order pins the documented layout.
-  EXPECT_EQ(a.candidates[0].readahead, 0u);
-  EXPECT_EQ(a.candidates[2].readahead, 4u);
-  EXPECT_EQ(a.candidates[1].frame_budget, 12u);
+  EXPECT_EQ(swaps[a.candidates[0].point[0]].readahead, 0u);
+  EXPECT_EQ(swaps[a.candidates[2].point[0]].readahead, 4u);
+  EXPECT_EQ(budgets[a.candidates[1].point[1]].frame_budget, 12u);
+}
+
+TEST(SwapDse, ThreeAxisGridIsFirstAxisMajorAndSerialEqualsParallel) {
+  // swap × pager × TLB in one sweep: a grid no single named explorer spans.
+  workloads::WorkloadParams p;
+  p.n = 128;
+  auto wl = workloads::make_workload("hash_join", p);
+  auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
+  auto evaluate = [&wl](const sls::SystemImage& image) {
+    sim::Simulator sim;
+    auto system = image.elaborate(sim);
+    wl.setup(*system);
+    for (const auto& buf : system->image().app().buffers)
+      system->process().evict(system->buffer(buf.name), buf.bytes);
+    system->start_all();
+    return system->run_to_completion();
+  };
+  const std::vector<sls::Axis> grid = {
+      sls::swap_axis({{SwapSchedPolicy::kFifo, 0}, {SwapSchedPolicy::kPriority, 4}}),
+      sls::pager_axis({{6, PolicyKind::kClock}, {12, PolicyKind::kClock}}),
+      sls::tlb_axis("worker", {4, 16})};
+
+  sls::DesignSpaceExplorer serial(sls::zynq7020());
+  serial.set_threads(1);
+  const auto a = serial.explore(app, grid, evaluate);
+
+  sls::DesignSpaceExplorer parallel(sls::zynq7020());
+  parallel.set_threads(4);
+  const auto b = parallel.explore(app, grid, evaluate);
+
+  ASSERT_EQ(a.candidates.size(), 8u);
+  ASSERT_EQ(a.candidates.size(), b.candidates.size());
+  for (std::size_t i = 0; i < a.candidates.size(); ++i) {
+    // First axis major, last axis fastest.
+    EXPECT_EQ(a.candidates[i].point, (std::vector<std::size_t>{i / 4, i / 2 % 2, i % 2}));
+    EXPECT_EQ(a.candidates[i].point, b.candidates[i].point);
+    EXPECT_EQ(a.candidates[i].fits, b.candidates[i].fits);
+    EXPECT_TRUE(a.candidates[i].measured);
+    EXPECT_EQ(a.candidates[i].measured, b.candidates[i].measured);
+    EXPECT_EQ(a.candidates[i].cycles, b.candidates[i].cycles);
+  }
+  EXPECT_EQ(a.best, b.best);
+  ASSERT_GE(a.best, 0);
+  // The TLB axis shapes the fabric; the swap and pager axes do not.
+  EXPECT_LT(a.candidates[0].total.luts, a.candidates[1].total.luts);
+  EXPECT_EQ(a.candidates[0].total.luts, a.candidates[6].total.luts);
 }
 
 TEST(SwapSummary, PagerSummarySurfacesQueueWaitAndPrefetchCounters) {
