@@ -14,6 +14,9 @@
 //               demand exceeds the quota are chunked and queue behind pin
 //               releases (offload.chunked_runs / offload.pin_stalls).
 //
+// Every offload run drains its event queue and must pass the ledger audit
+// (sls::audit); a violated identity fails the bench.
+//
 // Deterministic: workload data, policy seeds, and event order are fixed.
 
 #include <iostream>
@@ -23,6 +26,7 @@
 
 #include "bench_util.hpp"
 #include "mem/paging/replacement.hpp"
+#include "sls/audit.hpp"
 #include "sls/report_writer.hpp"
 #include "util/table.hpp"
 
@@ -65,8 +69,8 @@ using Fixup = std::function<void(sls::System&, const std::map<std::string, dma::
 
 /// The copy-based offload flow under a pager budget: cold-start the user
 /// buffers into swap, copy in (faulting + pinning through the pager), run
-/// the kernel physically addressed, copy out. Asserts the queue drains and
-/// every pin is released.
+/// the kernel physically addressed, copy out. Asserts the queue drains,
+/// every pin is released, and the pager's ledgers balance.
 OffloadRun run_offload_under_pressure(const workloads::Workload& wl,
                                       const std::vector<std::string>& in,
                                       const std::vector<std::string>& out, u64 budget,
@@ -151,6 +155,9 @@ OffloadRun run_offload_under_pressure(const workloads::Workload& wl,
   if (!sim.idle()) throw std::runtime_error(wl.name + ": event queue did not drain");
   if (system->address_space().pinned_pages() != 0)
     throw std::runtime_error(wl.name + ": offload pins leaked");
+  const auto ledgers = sls::snapshot_ledgers({system->pager()}, system->machine().frames);
+  if (const auto violations = sls::audit(ledgers); !violations.empty())
+    throw std::runtime_error("fig11: " + wl.name + ": " + violations.front());
   r.stats = sim.stats().snapshot();
   if (post) post(sim);
   return r;

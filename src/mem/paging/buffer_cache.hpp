@@ -9,8 +9,8 @@
 // under a bounded-bypass starvation guard — the SwapScheduler's classed
 // queue, specialized to two classes), and concurrent misses on one block
 // merge into one device read (the kernel's wait-on-buffer-lock discipline,
-// cross-process: the cache is shared machine-wide through the
-// SharedSubstrate, so process B's miss coalesces onto process A's read).
+// cross-process: a ProcessGroup's machine holds one cache for every
+// member, so process B's miss coalesces onto process A's read).
 //
 // Writes are write-back with write-allocate: dirtying a block is pure
 // bookkeeping and never blocks the writer — eviction of a dirty *page* is

@@ -1,13 +1,15 @@
 // Multi-process over-subscription harness.
 //
-// Builds the machine-wide substrate — one physical memory, one frame
-// allocator, one DRAM + bus pair, one set of OS service cores, and one
-// memory-pressure FramePool — and elaborates several SystemImages onto it
-// as separate processes. Each process keeps its own address space, page
-// tables, walker, fault handler, pager, and swap device; physical frames,
-// bus bandwidth, and OS cores are contended across all of them. This is
-// the configuration the over-subscription experiments (fig10) run: the
-// aggregate working set exceeds the frame budget, so the pagers fight.
+// Builds one Machine (sls/machine.hpp) — physical memory, frame allocator,
+// DRAM + bus, OS service cores, file registry — and fills in its group
+// services: the memory-pressure FramePool, the buffer cache, the MAP_SHARED
+// frame index, and (when `pager.swap.shared`) one swap front end. Each
+// SystemImage added elaborates onto that machine as a separate process
+// with its own address space, page tables, walker, fault handler and
+// pager; frames, bus bandwidth, OS cores and the group's I/O front ends are
+// contended across all of them. This is the configuration the
+// over-subscription experiments (fig10) run: the aggregate working set
+// exceeds the frame budget, so the pagers fight.
 //
 // Determinism: construction order fixes member ids and stat names; the
 // run loop steps the one shared simulator, so event order is the usual
@@ -24,9 +26,9 @@ namespace vmsls::sls {
 
 class ProcessGroup {
  public:
-  /// `platform` sizes the shared substrate (DRAM, bus, OS cores, page
-  /// size); per-image platforms configure each process's threads, TLBs,
-  /// and pager. The page size must agree across all images.
+  /// `platform` sizes the machine (DRAM, bus, OS cores, page size);
+  /// per-image platforms configure each process's threads, TLBs, and
+  /// pager. The page size must agree across all images.
   ProcessGroup(sim::Simulator& sim, const PlatformSpec& platform,
                const paging::FramePoolConfig& pool_cfg);
 
@@ -40,32 +42,32 @@ class ProcessGroup {
   System& process(std::size_t i) { return *systems_.at(i); }
   std::size_t size() const noexcept { return systems_.size(); }
 
-  /// The substrate-sizing platform the group was built with (page size,
+  /// The machine-sizing platform the group was built with (page size,
   /// DRAM, telemetry, traffic knobs) — what a serving driver layers on.
   const PlatformSpec& platform() const noexcept { return platform_; }
 
   sim::Simulator& simulator() noexcept { return sim_; }
-  paging::FramePool& pool() noexcept { return *pool_; }
-  mem::FrameAllocator& frames() noexcept { return *frames_; }
-  rt::OsModel& os() noexcept { return *os_; }
-  mem::MemoryBus& bus() noexcept { return *bus_; }
+  paging::FramePool& pool() noexcept { return *machine_.pool; }
+  mem::FrameAllocator& frames() noexcept { return machine_.frames; }
+  rt::OsModel& os() noexcept { return machine_.os; }
+  mem::MemoryBus& bus() noexcept { return machine_.bus; }
 
   /// The group-wide swap front end ("one flash part, N pagers"), present
   /// when the platform sets `pager.swap.shared`; nullptr when each process
   /// pages against a private device.
-  paging::SwapScheduler* shared_swap() noexcept { return swap_.get(); }
+  paging::SwapScheduler* shared_swap() noexcept { return machine_.swap.get(); }
 
   /// Machine-wide file registry and block cache — always present: every
   /// member process mmaps regions of the same files, and their pagers share
   /// one buffer cache (process B's read hits on the block process A
   /// faulted in — the shared-library effect).
-  mem::FileStore& files() noexcept { return *files_; }
-  paging::BufferCache& buffer_cache() noexcept { return *bcache_; }
+  mem::FileStore& files() noexcept { return machine_.files; }
+  paging::BufferCache& buffer_cache() noexcept { return *machine_.bcache; }
 
   /// Machine-wide resident-frame index for MAP_SHARED pages — what lets
   /// process B's fault map the very frame process A faulted in (dedup)
   /// instead of filling a duplicate copy of the same file block.
-  mem::FrameShareIndex& share_index() noexcept { return *share_; }
+  mem::FrameShareIndex& share_index() noexcept { return *machine_.share; }
 
   /// The group's pressure time-series sampler, present when the platform
   /// sets `telemetry.period > 0`; probes cover the pool, the frame
@@ -74,7 +76,6 @@ class ProcessGroup {
   sim::TelemetrySampler* telemetry() noexcept { return telemetry_.get(); }
 
   void start_all();
-  bool all_halted() const noexcept;
 
   /// Runs until every started thread in every process halts. Throws on
   /// deadlock or when `max_cycles` elapse. Returns cycles elapsed.
@@ -90,16 +91,7 @@ class ProcessGroup {
  private:
   sim::Simulator& sim_;
   PlatformSpec platform_;
-  std::unique_ptr<mem::PhysicalMemory> pm_;
-  std::unique_ptr<mem::FrameAllocator> frames_;
-  std::unique_ptr<mem::DramModel> dram_;
-  std::unique_ptr<mem::MemoryBus> bus_;
-  std::unique_ptr<rt::OsModel> os_;
-  std::unique_ptr<paging::FramePool> pool_;
-  std::unique_ptr<paging::SwapScheduler> swap_;
-  std::unique_ptr<mem::FileStore> files_;
-  std::unique_ptr<paging::BufferCache> bcache_;
-  std::unique_ptr<mem::FrameShareIndex> share_;
+  Machine machine_;
   std::unique_ptr<sim::TelemetrySampler> telemetry_;
   std::vector<std::unique_ptr<System>> systems_;
   std::vector<std::string> instances_;

@@ -31,7 +31,6 @@
 namespace vmsls::sls {
 
 class System;
-struct SharedSubstrate;
 
 struct HwThreadPlan {
   std::string thread;
@@ -115,11 +114,6 @@ class SystemImage {
   /// Instantiates the full system (memory, MMUs, engines, runtime) on the
   /// given simulator.
   std::unique_ptr<System> elaborate(sim::Simulator& sim) const;
-
-  /// Elaborates against machine-wide shared components (multi-process
-  /// over-subscription); `instance` prefixes the system's stat names.
-  std::unique_ptr<System> elaborate(sim::Simulator& sim, const SharedSubstrate& shared,
-                                    std::string instance) const;
 
  private:
   friend class SynthesisFlow;

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -348,6 +349,49 @@ TEST(ProcessGroup, Fig10ScenarioIsRunToRunDeterministic) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.stats, b.stats);  // every counter and histogram moment
+}
+
+// A member's own run loop would return once that member halts, while its
+// siblings still run: a partial makespan. It must refuse instead.
+TEST(ProcessGroup, MemberRunToCompletionThrows) {
+  workloads::WorkloadParams p;
+  p.n = 64;
+  const std::vector<workloads::Workload> wls = {workloads::make_pointer_chase(p),
+                                                workloads::make_hash_join(p)};
+  sim::Simulator sim;
+  paging::FramePoolConfig pool_cfg;
+  pool_cfg.total_frames = 64;
+  sls::ProcessGroup group(sim, sls::zynq7020(), pool_cfg);
+  sls::SynthesisFlow flow(sls::zynq7020());
+  for (std::size_t i = 0; i < wls.size(); ++i) {
+    const auto image =
+        flow.synthesize(workloads::single_thread_app(wls[i], sls::ThreadKind::kHardware));
+    wls[i].setup(group.add_process(image, i == 0 ? "p0" : "p1"));
+  }
+  group.start_all();
+  try {
+    group.process(1).run_to_completion();
+    FAIL() << "a group member ran its own loop";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'p1'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(sim.now(), 0u);  // refused before stepping
+  group.run_to_completion();
+  for (std::size_t i = 0; i < wls.size(); ++i) EXPECT_TRUE(wls[i].verify(group.process(i)));
+}
+
+TEST(ProcessGroup, PageSizeMismatchRejected) {
+  sim::Simulator sim;
+  sls::ProcessGroup group(sim, sls::zynq7020(), paging::FramePoolConfig{});
+  workloads::WorkloadParams p;
+  p.n = 64;
+  const auto wl = workloads::make_pointer_chase(p);
+  sls::PlatformSpec big = sls::zynq7020();
+  big.page_table.page_bits = 16;
+  const auto image = sls::SynthesisFlow(big).synthesize(
+      workloads::single_thread_app(wl, sls::ThreadKind::kHardware));
+  EXPECT_THROW(group.add_process(image, "p0"), std::invalid_argument);
+  EXPECT_EQ(group.size(), 0u);
 }
 
 // --- DSE: pager × TLB grid ------------------------------------------------
