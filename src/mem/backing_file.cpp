@@ -12,22 +12,24 @@ BackingFile::BackingFile(u32 id, std::string name, u64 bytes, u64 block_bytes)
 }
 
 std::span<u8> BackingFile::block_data(u64 block) {
-  require(block < blocks(), name_ + ": block out of range");
+  require(block < blocks(), [&] { return name_ + ": block out of range"; });
   return std::span<u8>(data_.data() + block * block_bytes_, block_bytes_);
 }
 
 std::span<const u8> BackingFile::block_data(u64 block) const {
-  require(block < blocks(), name_ + ": block out of range");
+  require(block < blocks(), [&] { return name_ + ": block out of range"; });
   return std::span<const u8>(data_.data() + block * block_bytes_, block_bytes_);
 }
 
 void BackingFile::write(u64 offset, std::span<const u8> data) {
-  require(offset + data.size() <= size_bytes(), name_ + ": write past end of file");
+  require(offset + data.size() <= size_bytes(),
+          [&] { return name_ + ": write past end of file"; });
   std::memcpy(data_.data() + offset, data.data(), data.size());
 }
 
 void BackingFile::read(u64 offset, std::span<u8> out) const {
-  require(offset + out.size() <= size_bytes(), name_ + ": read past end of file");
+  require(offset + out.size() <= size_bytes(),
+          [&] { return name_ + ": read past end of file"; });
   std::memcpy(out.data(), data_.data() + offset, out.size());
 }
 

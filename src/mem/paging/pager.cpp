@@ -167,7 +167,8 @@ void Pager::evict_resident(u64 vpn) {
   // Pinned pages back in-flight DMA and committed bus transactions; every
   // victim-selection path (own policy, pool sweep, reclaim) must have
   // filtered them out. Evicting one would retarget the frame mid-transfer.
-  require(!as_.is_pinned_vpn(vpn), name_ + ": pinned page selected as eviction victim");
+  require(!as_.is_pinned_vpn(vpn),
+          [&] { return name_ + ": pinned page selected as eviction victim"; });
   settle_speculative(vpn);
   process_.evict(vpn << page_bits(), 1);  // shoots down TLBs + flushes walk caches
   evictions_.add();
@@ -413,7 +414,7 @@ void Pager::handle_cow_fault(VirtAddr va, u64 vpn, Cycles start, sim::EventFn re
   inflight_faults_.emplace(vpn, InflightFault{fid, {}});
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
   const auto frame = as_.frame_of(vpn);
-  require(frame.has_value(), name_ + ": COW fault on a non-resident page");
+  require(frame.has_value(), [&] { return name_ + ": COW fault on a non-resident page"; });
   if (as_.frames().refcount(*frame) <= 1) {
     // Sole mapping left (the other sharers evicted or diverged already):
     // re-enable write in place — no frame, no budget work, no copy traffic.

@@ -9,24 +9,22 @@ namespace vmsls::mem {
 PhysicalMemory::PhysicalMemory(u64 size_bytes) : size_(size_bytes) {
   require(size_bytes > 0, "physical memory size must be nonzero");
   require(is_aligned(size_bytes, kChunkBytes), "physical memory size must be 4 KiB aligned");
+  leaves_.resize(ceil_div(size_bytes, kChunkBytes * kLeafChunks));
 }
 
-void PhysicalMemory::check_range(PhysAddr addr, u64 bytes) const {
-  if (addr + bytes > size_ || addr + bytes < addr)
-    throw std::out_of_range("physical access [" + std::to_string(addr) + ", +" +
-                            std::to_string(bytes) + ") outside memory of size " +
-                            std::to_string(size_));
+void PhysicalMemory::throw_out_of_range(PhysAddr addr, u64 bytes) const {
+  throw std::out_of_range("physical access [" + std::to_string(addr) + ", +" +
+                          std::to_string(bytes) + ") outside memory of size " +
+                          std::to_string(size_));
 }
 
-std::vector<u8>& PhysicalMemory::chunk(u64 index) {
-  auto& c = chunks_[index];
-  if (c.empty()) c.assign(kChunkBytes, 0);
-  return c;
-}
-
-const std::vector<u8>* PhysicalMemory::find_chunk(u64 index) const {
-  auto it = chunks_.find(index);
-  return it == chunks_.end() ? nullptr : &it->second;
+u8* PhysicalMemory::add_chunk(u64 index) {
+  auto& leaf = leaves_[index / kLeafChunks];
+  if (!leaf) leaf = std::make_unique<Leaf>();
+  auto& c = (*leaf)[index % kLeafChunks];
+  c = std::make_unique<u8[]>(kChunkBytes);  // value-initialized: zeroed
+  ++touched_chunks_;
+  return c.get();
 }
 
 void PhysicalMemory::read(PhysAddr addr, std::span<u8> out) const {
@@ -36,8 +34,8 @@ void PhysicalMemory::read(PhysAddr addr, std::span<u8> out) const {
     const u64 a = addr + done;
     const u64 off = a % kChunkBytes;
     const u64 n = std::min<u64>(kChunkBytes - off, out.size() - done);
-    if (const auto* c = find_chunk(a / kChunkBytes))
-      std::memcpy(out.data() + done, c->data() + off, n);
+    if (const u8* c = find_chunk(a / kChunkBytes))
+      std::memcpy(out.data() + done, c + off, n);
     else
       std::memset(out.data() + done, 0, n);
     done += n;
@@ -51,7 +49,7 @@ void PhysicalMemory::write(PhysAddr addr, std::span<const u8> data) {
     const u64 a = addr + done;
     const u64 off = a % kChunkBytes;
     const u64 n = std::min<u64>(kChunkBytes - off, data.size() - done);
-    std::memcpy(chunk(a / kChunkBytes).data() + off, data.data() + done, n);
+    std::memcpy(chunk(a / kChunkBytes) + off, data.data() + done, n);
     done += n;
   }
 }
@@ -63,7 +61,7 @@ void PhysicalMemory::clear(PhysAddr addr, u64 bytes) {
     const u64 a = addr + done;
     const u64 off = a % kChunkBytes;
     const u64 n = std::min<u64>(kChunkBytes - off, bytes - done);
-    std::memset(chunk(a / kChunkBytes).data() + off, 0, n);
+    std::memset(chunk(a / kChunkBytes) + off, 0, n);
     done += n;
   }
 }

@@ -170,7 +170,7 @@ void TrafficDriver::on_arrival() {
 
 void TrafficDriver::dispatch(const Pending& req, std::size_t worker) {
   Worker& wk = workers_[worker];
-  require(!wk.busy, name_ + ": dispatch to a busy worker");
+  require(!wk.busy, [&] { return name_ + ": dispatch to a busy worker"; });
   wk.busy = true;
   ++busy_;
   report_.peak_busy = std::max(report_.peak_busy, busy_);

@@ -1,9 +1,11 @@
 // Size, alignment, and bit-manipulation helpers shared by every module.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace vmsls {
 
@@ -47,13 +49,35 @@ constexpr u64 ceil_div(u64 a, u64 b) noexcept { return (a + b - 1) / b; }
 
 /// Throws std::invalid_argument with `msg` when `cond` is false. Used for
 /// validating user-supplied configuration at API boundaries.
+///
+/// A passing check costs only its condition. A literal message binds to the
+/// `const char*` overload, so no string is built until the check fails. A
+/// message assembled at run time is passed as a callable that returns it,
+/// `require(ok, [&] { return name_ + ": ..."; })`, and is likewise only
+/// built on failure; checks on per-event paths use that form. The
+/// `std::string` overload is for cold paths.
+inline void require(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] throw std::invalid_argument(msg);
+}
 inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument(msg);
+  if (!cond) [[unlikely]] throw std::invalid_argument(msg);
+}
+template <std::invocable F>
+inline void require(bool cond, F&& make_msg) {
+  if (!cond) [[unlikely]] throw std::invalid_argument(std::forward<F>(make_msg)());
 }
 
-/// Throws std::logic_error; used for internal invariant violations.
+/// Throws std::logic_error; used for internal invariant violations. Same
+/// message forms, and the same cost, as require().
+inline void ensure(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] throw std::logic_error(msg);
+}
 inline void ensure(bool cond, const std::string& msg) {
-  if (!cond) throw std::logic_error(msg);
+  if (!cond) [[unlikely]] throw std::logic_error(msg);
+}
+template <std::invocable F>
+inline void ensure(bool cond, F&& make_msg) {
+  if (!cond) [[unlikely]] throw std::logic_error(std::forward<F>(make_msg)());
 }
 
 /// Pretty-prints a byte count ("64 KiB", "3.2 MiB").

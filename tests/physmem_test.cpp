@@ -28,7 +28,69 @@ TEST(PhysicalMemory, CrossChunkBlockAccess) {
   std::vector<u8> back(data.size());
   pm.read(4090, std::span<u8>(back.data(), back.size()));
   EXPECT_EQ(back, data);
-  EXPECT_GE(pm.touched_chunks(), 3u);
+  EXPECT_EQ(pm.touched_chunks(), 4u);  // bytes [4090, 14090) live in chunks 0..3
+}
+
+TEST(PhysicalMemory, ScalarStraddlingAChunkBoundary) {
+  PhysicalMemory pm(1 * MiB);
+  pm.write_u64(4092, 0x0123456789abcdefull);  // 4 bytes in chunk 0, 4 in chunk 1
+  EXPECT_EQ(pm.read_u64(4092), 0x0123456789abcdefull);
+  EXPECT_EQ(pm.touched_chunks(), 2u);
+  EXPECT_EQ(pm.read_scalar<u32>(4092), 0x89abcdefu);
+  EXPECT_EQ(pm.read_scalar<u32>(4096), 0x01234567u);
+}
+
+TEST(PhysicalMemory, BlockCrossingA2MiBBoundary) {
+  PhysicalMemory pm(8 * MiB);
+  std::vector<u8> data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 7 + 1);
+  const PhysAddr at = 4 * MiB - 100;
+  pm.write(at, std::span<const u8>(data.data(), data.size()));
+  std::vector<u8> back(data.size());
+  pm.read(at, std::span<u8>(back.data(), back.size()));
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(pm.touched_chunks(), 2u);
+  EXPECT_EQ(pm.read_scalar<u8>(4 * MiB - 1), data[99]);
+  EXPECT_EQ(pm.read_scalar<u8>(4 * MiB), data[100]);
+}
+
+TEST(PhysicalMemory, SizeNotAMultipleOf2MiB) {
+  const u64 size = 2 * MiB + 4 * KiB;
+  PhysicalMemory pm(size);
+  EXPECT_EQ(pm.read_scalar<u8>(size - 1), 0u);
+  pm.write_scalar<u8>(size - 1, 0x5a);
+  EXPECT_EQ(pm.read_scalar<u8>(size - 1), 0x5a);
+  pm.write_u64(size - 8, 0x1122334455667788ull);
+  EXPECT_EQ(pm.read_u64(size - 8), 0x1122334455667788ull);
+  EXPECT_THROW(pm.read_scalar<u8>(size), std::out_of_range);
+  EXPECT_THROW(pm.write_scalar<u8>(size, 1), std::out_of_range);
+  EXPECT_THROW(pm.read_u64(size - 7), std::out_of_range);
+  u8 byte = 0;
+  EXPECT_THROW(pm.read(size, std::span<u8>(&byte, 1)), std::out_of_range);
+  EXPECT_THROW(pm.clear(size - 1, 2), std::out_of_range);
+  EXPECT_EQ(pm.touched_chunks(), 1u);
+}
+
+TEST(PhysicalMemory, WrappingAddressThrows) {
+  PhysicalMemory pm(1 * MiB);
+  EXPECT_THROW(pm.read_u64(~0ull - 3), std::out_of_range);
+  EXPECT_THROW(pm.write_u64(~0ull - 3, 1), std::out_of_range);
+  std::vector<u8> buf(16);
+  EXPECT_THROW(pm.read(~0ull - 7, std::span<u8>(buf.data(), buf.size())), std::out_of_range);
+  EXPECT_EQ(pm.touched_chunks(), 0u);
+}
+
+TEST(PhysicalMemory, UntouchedNeighborsReadZero) {
+  PhysicalMemory pm(4 * MiB);
+  pm.write_u64(2 * MiB + 4 * KiB + 8, ~0ull);
+  EXPECT_EQ(pm.read_u64(2 * MiB + 4 * KiB - 8), 0u);  // previous chunk, same leaf
+  EXPECT_EQ(pm.read_u64(2 * MiB + 8 * KiB), 0u);      // next chunk, same leaf
+  EXPECT_EQ(pm.read_u64(2 * MiB - 8), 0u);            // previous leaf
+  std::vector<u8> span(3 * 4 * KiB, 0xff);
+  pm.read(2 * MiB, std::span<u8>(span.data(), span.size()));
+  for (std::size_t i = 0; i < span.size(); ++i)
+    EXPECT_EQ(span[i], (i >= 4 * KiB + 8 && i < 4 * KiB + 16) ? 0xff : 0x00) << i;
+  EXPECT_EQ(pm.touched_chunks(), 1u);
 }
 
 TEST(PhysicalMemory, OutOfRangeThrows) {
@@ -43,6 +105,13 @@ TEST(PhysicalMemory, ClearZeroes) {
   pm.write_u64(100, ~0ull);
   pm.clear(96, 16);
   EXPECT_EQ(pm.read_u64(100), 0u);
+}
+
+TEST(PhysicalMemory, ClearOfAnUntouchedRangeTouchesItsChunks) {
+  PhysicalMemory pm(1 * MiB);
+  pm.clear(8 * KiB - 4, 8);  // straddles chunks 1 and 2
+  EXPECT_EQ(pm.touched_chunks(), 2u);
+  EXPECT_EQ(pm.read_u64(8 * KiB - 4), 0u);
 }
 
 TEST(PhysicalMemory, RejectsUnalignedSize) {

@@ -202,6 +202,33 @@ TEST(SwapScheduler, SlotLimitErrorNamesDeviceOwnerAndUsage) {
   }
 }
 
+// The key-packing checks run on every read/write; their errors are part of
+// the interface (type and exact text).
+TEST(SwapScheduler, UnregisteredOwnerAndWideVpnErrorsAreExact) {
+  sim::Simulator sim;
+  SwapScheduler sched(sim, fast_cfg(), 4096, "swap");
+  const unsigned owner = sched.register_owner("p0.pager");
+  const u64 wide_vpn = 1ull << 44;
+  auto expect_invalid = [](auto&& fn, const std::string& want) {
+    try {
+      fn();
+      ADD_FAILURE() << "expected std::invalid_argument: " << want;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  };
+  expect_invalid([&] { sched.read(owner + 1, 1, SwapReqClass::kDemandRead, [] {}); },
+                 "swap: unregistered swap owner");
+  expect_invalid([&] { sched.write(owner + 1, 1, SwapReqClass::kWriteback, [] {}); },
+                 "swap: unregistered swap owner");
+  expect_invalid([&] { sched.read(owner, wide_vpn, SwapReqClass::kDemandRead, [] {}); },
+                 "swap: vpn does not fit the key packing");
+  expect_invalid([&] { sched.write(owner, wide_vpn, SwapReqClass::kWriteback, [] {}); },
+                 "swap: vpn does not fit the key packing");
+  EXPECT_EQ(sched.slots_in_use(), 0u);
+  EXPECT_EQ(sched.queue_depth(), 0u);
+}
+
 TEST(ReplacementSpeculative, WrongPathPrefetchesAreReclaimedFirst) {
   for (const auto kind :
        {PolicyKind::kClock, PolicyKind::kLruApprox, PolicyKind::kFifo, PolicyKind::kRandom}) {

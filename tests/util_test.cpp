@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <typeinfo>
+#include <utility>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -61,6 +64,53 @@ TEST(Units, RequireThrowsOnFalse) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad"), std::invalid_argument);
   EXPECT_THROW(ensure(false, "bad"), std::logic_error);
+}
+
+// Runs `fn`, which must throw; returns the exception's dynamic type and
+// what() text so a test can pin both exactly (std::invalid_argument is a
+// std::logic_error, so EXPECT_THROW alone cannot tell require from ensure).
+template <typename Fn>
+std::pair<std::string, std::string> thrown(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {"<nothing thrown>", ""};
+}
+
+TEST(Units, RequireAndEnsureMessagesAreExact) {
+  const std::string inv = typeid(std::invalid_argument).name();
+  const std::string logic = typeid(std::logic_error).name();
+  const std::string name = "dev0";
+  EXPECT_EQ(thrown([] { require(false, "literal message"); }),
+            std::make_pair(inv, std::string("literal message")));
+  EXPECT_EQ(thrown([&] { require(false, name + ": built message"); }),
+            std::make_pair(inv, std::string("dev0: built message")));
+  EXPECT_EQ(thrown([] { ensure(false, "literal invariant"); }),
+            std::make_pair(logic, std::string("literal invariant")));
+  EXPECT_EQ(thrown([&] { ensure(false, name + ": built invariant"); }),
+            std::make_pair(logic, std::string("dev0: built invariant")));
+  EXPECT_NO_THROW(require(true, name + ": unused"));
+  EXPECT_NO_THROW(ensure(true, "unused"));
+}
+
+TEST(Units, CallableMessagesAreBuiltOnlyOnFailure) {
+  const std::string inv = typeid(std::invalid_argument).name();
+  const std::string logic = typeid(std::logic_error).name();
+  int built = 0;
+  auto msg = [&] {
+    ++built;
+    return std::string("dev0: lazy message");
+  };
+  require(true, msg);
+  ensure(true, msg);
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(thrown([&] { require(false, msg); }),
+            std::make_pair(inv, std::string("dev0: lazy message")));
+  EXPECT_EQ(thrown([&] { ensure(false, msg); }),
+            std::make_pair(logic, std::string("dev0: lazy message")));
+  EXPECT_EQ(built, 2);
 }
 
 TEST(Units, FormatBytes) {
