@@ -78,6 +78,25 @@ TEST_F(CachedPortFixture, MissesGenerateBusTraffic) {
   EXPECT_GT(ms.sim.stats().counter_value("bus.requests"), 0u);
 }
 
+// Pinned timing: a cross-page write then a read of the same bytes; the
+// completion cycles of both (cold then warm caches) must stay exactly as
+// recorded here.
+TEST_F(CachedPortFixture, CrossPageWriteThenReadPinned) {
+  const VirtAddr va = ms.as.alloc(2 * 4096, 4096);
+  ms.as.populate(va, 2 * 4096);
+  std::vector<u8> data(200);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 5 + 9);
+  const Cycles write_cycles = write_sync(va + 4096 - 72, data);
+  const Cycles write_done = ms.sim.now();
+  const auto back = read_sync(va + 4096 - 72, 200);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(write_cycles, 145u);
+  EXPECT_EQ(write_done, 145u);
+  EXPECT_EQ(ms.sim.now(), 152u);
+  EXPECT_EQ(ms.sim.stats().counter_value("bus.requests"), 7u);
+  EXPECT_EQ(ms.sim.stats().counter_value("c.l1.misses"), 7u);
+}
+
 TEST(CpuConfig, EngineConfigCarriesClockAndCosts) {
   CpuConfig cfg;
   const auto ecfg = engine_config(cfg);
