@@ -3,7 +3,8 @@
 // Not paper data: these measure how fast the host retires simulated work —
 // event-queue throughput (the calendar-wheel fast path, the far-future heap
 // fallback, and zero-allocation recycling), inline-completion translation,
-// TLB lookups, IR execution rate, and end-to-end fig-style workload runs —
+// TLB lookups, the memory-port layer, IR execution rate, and end-to-end
+// fig-style workload runs —
 // to keep the experiment harness fast enough for wide DSE sweeps.
 //
 // Emits BENCH_engine.json (see bench::EngineBenchReport for the schema) so
@@ -12,8 +13,11 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "cpu/cached_port.hpp"
 #include "hwt/builder.hpp"
 #include "hwt/engine.hpp"
+#include "hwt/hw_port.hpp"
+#include "mem/address_space.hpp"
 #include "mem/frames.hpp"
 #include "mem/mmu.hpp"
 #include "mem/pagetable.hpp"
@@ -206,6 +210,50 @@ Rate bench_passthrough_translate(u64 n) {
   return r;
 }
 
+/// One address space behind both port kinds: an MMU-translated HwMemPort
+/// and a cached CPU port, over 16 MiB of 4 KiB pages.
+struct PortRig {
+  static constexpr u64 kMem = 16 * MiB;
+  sim::Simulator sim;
+  mem::PhysicalMemory pm{kMem};
+  mem::FrameAllocator frames{0, kMem / (4 * KiB), 4 * KiB};
+  mem::AddressSpace as{pm, frames, mem::PageTableConfig{}};
+  mem::DramModel dram{mem::DramConfig{}, sim.stats(), "dram"};
+  mem::MemoryBus bus{sim, dram, mem::BusConfig{}, "bus"};
+  mem::PageWalker walker{sim, bus, pm, as.page_table(), mem::WalkerConfig{}, "walker"};
+  mem::Mmu mmu{sim, walker, mem::MmuConfig{}, "mmu", 0};
+  hwt::HwMemPort hw_port{sim, mmu, bus, pm, hwt::HwPortConfig{}, "port"};
+  mem::CacheHierarchy caches{sim, bus, mem::CacheHierarchyConfig{}, "caches"};
+  cpu::CachedMemPort cached_port{sim, as, caches, "cpu"};
+  VirtAddr base = 0;
+
+  explicit PortRig(u64 bytes) {
+    base = as.alloc(bytes, 4 * KiB);
+    as.populate(base, bytes);
+  }
+};
+
+/// Port layer: `n` blocking reads of `bytes` each through `port`, the
+/// engine's access pattern (one op in flight). Addresses cycle over
+/// `window` bytes, so steady state is TLB- (and, for `bytes` = 8,
+/// cache-) resident.
+Rate bench_port_reads(u64 n, u32 bytes, u64 window, bool cached) {
+  PortRig rig(window + 4 * KiB);
+  hwt::MemPort& port = cached ? static_cast<hwt::MemPort&>(rig.cached_port) : rig.hw_port;
+  std::vector<u8> buf(bytes);
+  u64 completed = 0;
+  Rate r = measure(n, [&] {
+    for (u64 i = 0; i < n; ++i) {
+      // Offsets step by 520 B so bursts start at varied page offsets.
+      port.read(rig.base + (i * 520) % window, buf, [&completed] { ++completed; });
+      rig.sim.run();
+    }
+  });
+  if (completed % n != 0) throw std::runtime_error("port read lost a completion");
+  r.cycles = rig.sim.now();
+  return r;
+}
+
 Rate bench_engine_alu() {
   hwt::KernelBuilder kb("alu");
   kb.li(1, 0).li(2, 0).li(3, 1'000'000)
@@ -267,6 +315,9 @@ int main() {
   }
   row("tlb_lookup_hit", bench_tlb_lookup(1 << 16));
   row("passthrough_translate", bench_passthrough_translate(1 << 14));
+  row("hw_port_read_8b", bench_port_reads(1 << 14, 8, 16 * KiB, false));
+  row("hw_port_burst_4k", bench_port_reads(1 << 10, 4 * KiB, 16 * KiB, false));
+  row("cached_port_read_8b", bench_port_reads(1 << 14, 8, 16 * KiB, true));
   row("engine_alu_instr", bench_engine_alu());
 
   // End-to-end fig-style runs: simulated events per host second is the

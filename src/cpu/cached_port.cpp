@@ -1,72 +1,43 @@
 #include "cpu/cached_port.hpp"
 
-#include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace vmsls::cpu {
 
-struct CachedMemPort::Xfer {
-  VirtAddr va = 0;
-  u64 pos = 0;
-  std::vector<u8> buf;
-  bool is_write = false;
-  std::function<void(std::vector<u8>)> on_read_done;
-  std::function<void()> on_write_done;
-};
-
 CachedMemPort::CachedMemPort(sim::Simulator& sim, mem::AddressSpace& as,
                              mem::CacheHierarchy& caches, std::string name)
-    : sim_(sim),
+    : ChunkedPort(as.page_bytes(), std::numeric_limits<u32>::max()),
       as_(as),
       caches_(caches),
-      name_(std::move(name)),
-      reads_(sim.stats().counter(name_ + ".reads")),
-      writes_(sim.stats().counter(name_ + ".writes")) {}
+      reads_(sim.stats().counter(name + ".reads")),
+      writes_(sim.stats().counter(name + ".writes")) {}
 
-void CachedMemPort::read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) {
-  require(bytes > 0, "zero-byte CPU read");
+void CachedMemPort::read(VirtAddr va, std::span<u8> dst, sim::EventFn done) {
+  require(!dst.empty(), "zero-byte CPU read");
   reads_.add();
-  auto x = std::make_shared<Xfer>();
-  x->va = va;
-  x->buf.resize(bytes);
-  x->is_write = false;
-  x->on_read_done = std::move(done);
-  step(x);
+  transfer(va, dst.data(), nullptr, dst.size(), std::move(done));
 }
 
-void CachedMemPort::write(VirtAddr va, std::span<const u8> data, std::function<void()> done) {
-  require(!data.empty(), "zero-byte CPU write");
+void CachedMemPort::write(VirtAddr va, std::span<const u8> src, sim::EventFn done) {
+  require(!src.empty(), "zero-byte CPU write");
   writes_.add();
-  auto x = std::make_shared<Xfer>();
-  x->va = va;
-  x->buf.assign(data.begin(), data.end());
-  x->is_write = true;
-  x->on_write_done = std::move(done);
-  step(x);
+  transfer(va, nullptr, src.data(), src.size(), std::move(done));
 }
 
-void CachedMemPort::step(const std::shared_ptr<Xfer>& x) {
-  if (x->pos >= x->buf.size()) {
-    if (x->is_write) {
-      as_.write(x->va, std::span<const u8>(x->buf.data(), x->buf.size()));
-      x->on_write_done();
-    } else {
-      as_.read(x->va, std::span<u8>(x->buf.data(), x->buf.size()));
-      x->on_read_done(std::move(x->buf));
-    }
-    return;
-  }
-  const u64 page = as_.page_bytes();
-  const VirtAddr va = x->va + x->pos;
-  const u64 to_page_end = page - (va & (page - 1));
-  const u32 chunk = static_cast<u32>(std::min<u64>(to_page_end, x->buf.size() - x->pos));
-
+void CachedMemPort::issue(Xfer* x, VirtAddr va, u64 /*off*/, u32 chunk) {
   // Software page touch: demand-map with zero modeled cost (resident
   // baseline assumption; see header comment).
   if (!as_.is_mapped(va)) as_.map_page(va);
   const PhysAddr pa = *as_.translate(va);
-  x->pos += chunk;
   caches_.access(pa, chunk, x->is_write, [this, x] { step(x); });
+}
+
+void CachedMemPort::finish(const Xfer& x) {
+  if (x.is_write)
+    as_.write(x.va, std::span<const u8>(x.src, x.size));
+  else
+    as_.read(x.va, std::span<u8>(x.dst, x.size));
 }
 
 }  // namespace vmsls::cpu

@@ -5,9 +5,12 @@
 // application-level CPU models. Touching an unmapped page maps it on demand
 // with zero extra cost (the software baseline is assumed resident, which
 // favors the baseline and keeps our speedup claims conservative).
+//
+// Transfers split at page boundaries through the shared ChunkedPort loop;
+// each chunk pays the cache hierarchy's timing, and the functional data
+// moves once, at the end of the whole transfer.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "hwt/ports.hpp"
@@ -17,22 +20,20 @@
 
 namespace vmsls::cpu {
 
-class CachedMemPort final : public hwt::MemPort {
+class CachedMemPort final : public hwt::ChunkedPort {
  public:
   CachedMemPort(sim::Simulator& sim, mem::AddressSpace& as, mem::CacheHierarchy& caches,
                 std::string name);
 
-  void read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) override;
-  void write(VirtAddr va, std::span<const u8> data, std::function<void()> done) override;
+  void read(VirtAddr va, std::span<u8> dst, sim::EventFn done) override;
+  void write(VirtAddr va, std::span<const u8> src, sim::EventFn done) override;
 
  private:
-  struct Xfer;
-  void step(const std::shared_ptr<Xfer>& x);
+  void issue(Xfer* x, VirtAddr va, u64 off, u32 chunk) override;
+  void finish(const Xfer& x) override;
 
-  sim::Simulator& sim_;
   mem::AddressSpace& as_;
   mem::CacheHierarchy& caches_;
-  std::string name_;
   Counter& reads_;
   Counter& writes_;
 };

@@ -1,7 +1,6 @@
 #include "hwt/engine.hpp"
 
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -228,88 +227,41 @@ void Engine::resume() {
         return;
       }
 
-      case Op::kLoad: {
+      case Op::kLoad: case Op::kStore: case Op::kBurstLoad: case Op::kBurstStore: {
         ++instret_;
         stat_mem_ops_.add();
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra] + in.imm);
+        // Scalars move through mem_word_ (the engine blocks on every memory
+        // op, so one word suffices); bursts read and write the scratchpad.
+        const bool burst = in.op == Op::kBurstLoad || in.op == Op::kBurstStore;
+        const bool load = in.op == Op::kLoad || in.op == Op::kBurstLoad;
+        VirtAddr va = static_cast<VirtAddr>(regs_[in.ra] + in.imm);
+        u8* buf = reinterpret_cast<u8*>(&mem_word_);
+        u64 bytes = in.size;
+        if (burst) {
+          const u64 spad_off = static_cast<u64>(regs_[in.rd]);
+          va = static_cast<VirtAddr>(regs_[in.ra]);
+          bytes = static_cast<u64>(regs_[in.rb]);
+          if (bytes == 0) trap(load ? "zero-length burst load" : "zero-length burst store");
+          if (spad_off + bytes > spad_.size())
+            trap(load ? "burst load overflows scratchpad" : "burst store overruns scratchpad");
+          buf = spad_.data() + spad_off;
+        }
+        const u64 v = in.op == Op::kStore ? static_cast<u64>(regs_[in.rb]) : 0;
         const Instr snapshot = in;
         const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, snapshot] {
+        sim_.schedule_in(issue, [this, va, buf, bytes, v, snapshot] {
           const Cycles issued_at = sim_.now();
-          mem_ports_[snapshot.port]->read(va, snapshot.size,
-                                          [this, snapshot, issued_at](std::vector<u8> data) {
-            u64 v = 0;
-            std::memcpy(&v, data.data(), snapshot.size);
-            regs_[snapshot.rd] = static_cast<i64>(v);
+          if (snapshot.op == Op::kLoad || snapshot.op == Op::kStore) mem_word_ = v;
+          sim::EventFn done = [this, issued_at, snapshot] {
+            if (snapshot.op == Op::kLoad) regs_[snapshot.rd] = static_cast<i64>(mem_word_);
             ++pc_;
             finish_mem_op(issued_at);
-          });
-        });
-        return;
-      }
-
-      case Op::kStore: {
-        ++instret_;
-        stat_mem_ops_.add();
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra] + in.imm);
-        const u64 v = static_cast<u64>(regs_[in.rb]);
-        const Instr snapshot = in;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, v, snapshot] {
-          const Cycles issued_at = sim_.now();
-          std::vector<u8> bytes(snapshot.size);
-          std::memcpy(bytes.data(), &v, snapshot.size);
-          auto* port = mem_ports_[snapshot.port];
-          // Keep the byte buffer alive across the asynchronous write.
-          auto data = std::make_shared<std::vector<u8>>(std::move(bytes));
-          port->write(va, std::span<const u8>(data->data(), data->size()),
-                      [this, issued_at, data] {
-            ++pc_;
-            finish_mem_op(issued_at);
-          });
-        });
-        return;
-      }
-
-      case Op::kBurstLoad: {
-        ++instret_;
-        stat_mem_ops_.add();
-        const u64 spad_off = static_cast<u64>(regs_[in.rd]);
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra]);
-        const u64 bytes = static_cast<u64>(regs_[in.rb]);
-        if (bytes == 0) trap("zero-length burst load");
-        if (spad_off + bytes > spad_.size()) trap("burst load overflows scratchpad");
-        const Instr snapshot = in;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, bytes, spad_off, snapshot] {
-          const Cycles issued_at = sim_.now();
-          mem_ports_[snapshot.port]->read(va, static_cast<u32>(bytes),
-                                          [this, spad_off, issued_at](std::vector<u8> data) {
-            std::memcpy(spad_.data() + spad_off, data.data(), data.size());
-            ++pc_;
-            finish_mem_op(issued_at);
-          });
-        });
-        return;
-      }
-
-      case Op::kBurstStore: {
-        ++instret_;
-        stat_mem_ops_.add();
-        const u64 spad_off = static_cast<u64>(regs_[in.rd]);
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra]);
-        const u64 bytes = static_cast<u64>(regs_[in.rb]);
-        if (bytes == 0) trap("zero-length burst store");
-        if (spad_off + bytes > spad_.size()) trap("burst store overruns scratchpad");
-        const Instr snapshot = in;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, bytes, spad_off, snapshot] {
-          const Cycles issued_at = sim_.now();
-          mem_ports_[snapshot.port]->write(
-              va, std::span<const u8>(spad_.data() + spad_off, bytes), [this, issued_at] {
-                ++pc_;
-                finish_mem_op(issued_at);
-              });
+          };
+          MemPort* port = mem_ports_[snapshot.port];
+          if (snapshot.op == Op::kLoad || snapshot.op == Op::kBurstLoad)
+            port->read(va, std::span<u8>(buf, bytes), std::move(done));
+          else
+            port->write(va, std::span<const u8>(buf, bytes), std::move(done));
         });
         return;
       }

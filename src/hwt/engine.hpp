@@ -99,6 +99,7 @@ class Engine {
   std::array<i64, kNumRegs> regs_{};
   std::vector<u8> spad_;
   std::array<MemPort*, 4> mem_ports_{};
+  u64 mem_word_ = 0;  // port buffer of the scalar load/store in flight
   OsPort* os_port_ = nullptr;
 
   u64 pc_ = 0;

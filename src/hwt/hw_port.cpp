@@ -1,83 +1,47 @@
 #include "hwt/hw_port.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace vmsls::hwt {
 
-struct HwMemPort::Xfer {
-  VirtAddr va = 0;
-  u64 pos = 0;  // bytes completed
-  std::vector<u8> buf;
-  bool is_write = false;
-  std::function<void(std::vector<u8>)> on_read_done;
-  std::function<void()> on_write_done;
-};
-
 HwMemPort::HwMemPort(sim::Simulator& sim, mem::Mmu& mmu, mem::MemoryBus& bus,
                      mem::PhysicalMemory& pm, const HwPortConfig& cfg, std::string name)
-    : sim_(sim),
+    : ChunkedPort(1ull << mmu.page_bits(), cfg.max_burst_bytes),
       mmu_(mmu),
       bus_(bus),
       pm_(pm),
-      cfg_(cfg),
-      name_(std::move(name)),
-      reads_(sim.stats().counter(name_ + ".reads")),
-      writes_(sim.stats().counter(name_ + ".writes")),
-      bytes_(sim.stats().counter(name_ + ".bytes")) {
+      reads_(sim.stats().counter(name + ".reads")),
+      writes_(sim.stats().counter(name + ".writes")),
+      bytes_(sim.stats().counter(name + ".bytes")) {
   require(cfg.max_burst_bytes > 0, "burst cap must be nonzero");
 }
 
-void HwMemPort::read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) {
-  require(bytes > 0, "zero-byte port read");
+void HwMemPort::read(VirtAddr va, std::span<u8> dst, sim::EventFn done) {
+  require(!dst.empty(), "zero-byte port read");
   reads_.add();
-  bytes_.add(bytes);
-  auto x = std::make_shared<Xfer>();
-  x->va = va;
-  x->buf.resize(bytes);
-  x->is_write = false;
-  x->on_read_done = std::move(done);
-  step(x);
+  bytes_.add(dst.size());
+  transfer(va, dst.data(), nullptr, dst.size(), std::move(done));
 }
 
-void HwMemPort::write(VirtAddr va, std::span<const u8> data, std::function<void()> done) {
-  require(!data.empty(), "zero-byte port write");
+void HwMemPort::write(VirtAddr va, std::span<const u8> src, sim::EventFn done) {
+  require(!src.empty(), "zero-byte port write");
   writes_.add();
-  bytes_.add(data.size());
-  auto x = std::make_shared<Xfer>();
-  x->va = va;
-  x->buf.assign(data.begin(), data.end());
-  x->is_write = true;
-  x->on_write_done = std::move(done);
-  step(x);
+  bytes_.add(src.size());
+  transfer(va, nullptr, src.data(), src.size(), std::move(done));
 }
 
-void HwMemPort::step(const std::shared_ptr<Xfer>& x) {
-  if (x->pos >= x->buf.size()) {
-    if (x->is_write)
-      x->on_write_done();
-    else
-      x->on_read_done(std::move(x->buf));
-    return;
-  }
-  const u64 page = 1ull << mmu_.page_bits();
-  const VirtAddr va = x->va + x->pos;
-  const u64 to_page_end = page - (va & (page - 1));
-  const u32 chunk = static_cast<u32>(
-      std::min<u64>({to_page_end, x->buf.size() - x->pos, cfg_.max_burst_bytes}));
-
+void HwMemPort::issue(Xfer* x, VirtAddr va, u64 off, u32 chunk) {
   // The pin covers translation (including any fault service) through bus
   // completion: the physical address captured below stays valid because no
   // replacement policy will victimize a pinned page.
   if (as_ != nullptr) as_->pin(va);
-  mmu_.translate(va, x->is_write, [this, x, va, chunk](PhysAddr pa) {
-    bus_.request(mem::BusRequest{pa, chunk, x->is_write, [this, x, va, pa, chunk] {
+  mmu_.translate(va, x->is_write, [this, x, va, off, chunk](PhysAddr pa) {
+    bus_.request(mem::BusRequest{pa, chunk, x->is_write, [this, x, va, pa, off, chunk] {
       if (x->is_write)
-        pm_.write(pa, std::span<const u8>(x->buf.data() + x->pos, chunk));
+        pm_.write(pa, std::span<const u8>(x->src + off, chunk));
       else
-        pm_.read(pa, std::span<u8>(x->buf.data() + x->pos, chunk));
+        pm_.read(pa, std::span<u8>(x->dst + off, chunk));
       if (as_ != nullptr) as_->unpin(va);
-      x->pos += chunk;
       step(x);
     }});
   });

@@ -3,12 +3,12 @@
 // This is the synthesized wrapper component that gives a hardware thread
 // its virtual-memory view. Every request is split at page boundaries (a
 // translation is valid for one page) and at the port's maximum burst
-// length (AXI-style), translated through the thread's MMU, then issued on
-// the shared memory bus. Functional data moves against PhysicalMemory at
-// each chunk's completion time.
+// length (AXI-style) by the shared ChunkedPort loop; each chunk is
+// translated through the thread's MMU, then issued on the shared memory
+// bus. Functional data moves between PhysicalMemory and the caller's buffer
+// at each chunk's completion time.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "hwt/ports.hpp"
@@ -24,15 +24,13 @@ struct HwPortConfig {
   u32 max_burst_bytes = 512;  // AXI burst cap
 };
 
-class HwMemPort final : public MemPort {
+class HwMemPort final : public ChunkedPort {
  public:
   HwMemPort(sim::Simulator& sim, mem::Mmu& mmu, mem::MemoryBus& bus, mem::PhysicalMemory& pm,
             const HwPortConfig& cfg, std::string name);
 
-  void read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) override;
-  void write(VirtAddr va, std::span<const u8> data, std::function<void()> done) override;
-
-  mem::Mmu& mmu() noexcept { return mmu_; }
+  void read(VirtAddr va, std::span<u8> dst, sim::EventFn done) override;
+  void write(VirtAddr va, std::span<const u8> src, sim::EventFn done) override;
 
   /// Enables in-flight page pinning against `as`: each chunk holds a pin
   /// from translation start to bus completion so replacement policies never
@@ -41,16 +39,12 @@ class HwMemPort final : public MemPort {
   void set_address_space(mem::AddressSpace* as) noexcept { as_ = as; }
 
  private:
-  struct Xfer;
-  void step(const std::shared_ptr<Xfer>& x);
+  void issue(Xfer* x, VirtAddr va, u64 off, u32 chunk) override;
 
-  sim::Simulator& sim_;
   mem::Mmu& mmu_;
   mem::MemoryBus& bus_;
   mem::PhysicalMemory& pm_;
   mem::AddressSpace* as_ = nullptr;
-  HwPortConfig cfg_;
-  std::string name_;
 
   Counter& reads_;
   Counter& writes_;

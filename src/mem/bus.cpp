@@ -40,8 +40,7 @@ void MemoryBus::pump() {
     return;
   }
 
-  Pending p = std::move(queue_.front());
-  queue_.pop_front();
+  Pending p = queue_.pop_front();
   wait_hist_.record(now - p.enqueued);
 
   const Cycles beats = ceil_div(p.req.bytes, cfg_.width_bytes);

@@ -34,7 +34,7 @@ void Mmu::maybe_prefetch(u64 missed_vpn) {
   });
 }
 
-void Mmu::translate(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done) {
+void Mmu::translate(VirtAddr va, bool is_write, TranslateFn done) {
   if (!cfg_.translation_enabled) {
     // Physical pass-through: the "MMU-less" accelerator of the DMA baseline.
     // Zero modeled latency, so complete inline — no scheduler traffic at
@@ -44,13 +44,22 @@ void Mmu::translate(VirtAddr va, bool is_write, std::function<void(PhysAddr)> do
     done(va);
     return;
   }
+  Translation* t = pending_.acquire();
+  t->va = va;
+  t->is_write = is_write;
+  t->done = std::move(done);
+  lookup(t);
+}
+
+void Mmu::lookup(Translation* t) {
   translations_.add();
   const unsigned page_bits = walker_.page_bits();
+  const VirtAddr va = t->va;
   const u64 vpn = va >> page_bits;
   const u64 offset = va & ((1ull << page_bits) - 1);
 
   if (auto entry = tlb_.lookup(vpn)) {
-    if (is_write && !entry->writable) {
+    if (t->is_write && !entry->writable) {
       // Permission fault: stale or read-only mapping. Drop the entry and
       // take the long path so the OS can upgrade the mapping.
       tlb_.invalidate(vpn);
@@ -58,29 +67,28 @@ void Mmu::translate(VirtAddr va, bool is_write, std::function<void(PhysAddr)> do
       // Keep the PTE's accessed/dirty bits fresh on TLB hits too, or the
       // pager's CLOCK hand would evict pages that are hot in the TLB. The
       // walker funnel charges the PTE write-back when a bit flips.
-      if (cfg_.ad_tracking) walker_.note_ad_update(va, is_write);
-      const PhysAddr pa = (entry->frame << page_bits) | offset;
+      if (cfg_.ad_tracking) walker_.note_ad_update(va, t->is_write);
+      t->pa = (entry->frame << page_bits) | offset;
       const Cycles hit_latency = tlb_.config().hit_latency;
       if (hit_latency == 0) {
         // Combinational TLB: complete inline, same cycle, no event.
         inline_completions_.add();
-        done(pa);
+        complete(t);
       } else {
-        sim_.schedule_in(hit_latency, [done = std::move(done), pa] { done(pa); });
+        sim_.schedule_in(hit_latency, [this, t] { complete(t); });
       }
       return;
     }
   }
 
-  walker_.walk(va, [this, va, is_write, done = std::move(done)](const WalkResult& r) {
-    on_walk_done(va, is_write, done, r);
-  });
+  walker_.walk(va, [this, t](const WalkResult& r) { on_walk_done(t, r); });
   maybe_prefetch(vpn);
 }
 
-void Mmu::on_walk_done(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done,
-                       const WalkResult& r) {
+void Mmu::on_walk_done(Translation* t, const WalkResult& r) {
   const unsigned page_bits = walker_.page_bits();
+  const VirtAddr va = t->va;
+  const bool is_write = t->is_write;
   const bool permission_fault = !r.fault && is_write && !r.writable;
   if (r.fault || permission_fault) {
     fault_raises_.add();
@@ -92,13 +100,20 @@ void Mmu::on_walk_done(VirtAddr va, bool is_write, std::function<void(PhysAddr)>
     req.thread_id = thread_id_;
     req.va = va;
     req.is_write = is_write;
-    req.retry = [this, va, is_write, done] { translate(va, is_write, done); };
+    req.retry = [this, t] { lookup(t); };
     sink_->raise(std::move(req));
     return;
   }
   if (is_write) walker_.note_ad_update(va, /*dirty=*/true);
   tlb_.insert(va >> page_bits, r.frame, r.writable);
-  const PhysAddr pa = (r.frame << page_bits) | (va & ((1ull << page_bits) - 1));
+  t->pa = (r.frame << page_bits) | (va & ((1ull << page_bits) - 1));
+  complete(t);
+}
+
+void Mmu::complete(Translation* t) {
+  TranslateFn done = std::move(t->done);
+  const PhysAddr pa = t->pa;
+  pending_.release(t);  // recycle before the continuation translates again
   done(pa);
 }
 

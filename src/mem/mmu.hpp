@@ -20,11 +20,14 @@
 #include "mem/tlb.hpp"
 #include "mem/walker.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::mem {
 
 /// A fault forwarded to the OS model. `retry` restarts the faulting
-/// translation after service.
+/// translation after service; call it exactly once. (It captures only the
+/// MMU and its pooled translation record, so std::function holds it
+/// without allocating.)
 struct FaultRequest {
   unsigned thread_id = 0;
   VirtAddr va = 0;
@@ -54,6 +57,9 @@ struct MmuConfig {
   bool prefetch_next_page = false;
 };
 
+/// Completion of a translation: receives the physical address.
+using TranslateFn = sim::InlineFn<void(PhysAddr)>;
+
 class Mmu {
  public:
   Mmu(sim::Simulator& sim, PageWalker& walker, const MmuConfig& cfg, std::string name,
@@ -66,15 +72,20 @@ class Mmu {
   /// exercise pinned-only systems that must never fault).
   void set_fault_sink(FaultSink* sink) noexcept { sink_ = sink; }
 
-  /// Translates `va`; `done(pa)` fires once a valid translation exists,
-  /// after any walk and fault service completes.
+  /// Translates `va`; `done(pa)` fires exactly once, when a valid
+  /// translation exists, after any walk and fault service completes.
+  /// `done` is a move-only sim::InlineFn: closures up to 56 bytes are held
+  /// inline. While the translation is in flight it lives in a pooled record;
+  /// the TLB-latency event, the walker callback and the fault's `retry`
+  /// capture only (this, record), so steady-state translation allocates
+  /// nothing.
   ///
   /// Fast path: when the translation adds zero modeled latency — physical
   /// pass-through, or a TLB hit with hit_latency == 0 — `done` is invoked
   /// synchronously, inside this call, without touching the scheduler
   /// (counted in `<name>.inline_completions`). Callers must therefore not
   /// assume `done` runs after the current event returns.
-  void translate(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done);
+  void translate(VirtAddr va, bool is_write, TranslateFn done);
 
   /// Translations completed synchronously (no scheduler round-trip).
   u64 inline_completions() const noexcept { return inline_completions_.value(); }
@@ -90,8 +101,17 @@ class Mmu {
   void shootdown_all();
 
  private:
-  void on_walk_done(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done,
-                    const WalkResult& r);
+  /// One translation in flight.
+  struct Translation {
+    VirtAddr va = 0;
+    bool is_write = false;
+    PhysAddr pa = 0;
+    TranslateFn done;
+  };
+
+  void lookup(Translation* t);
+  void on_walk_done(Translation* t, const WalkResult& r);
+  void complete(Translation* t);
   void maybe_prefetch(u64 missed_vpn);
 
   sim::Simulator& sim_;
@@ -102,6 +122,7 @@ class Mmu {
   Tlb tlb_;
   FaultSink* sink_ = nullptr;
   u64 prefetch_inflight_vpn_ = ~0ull;
+  Pool<Translation> pending_;
 
   Counter& translations_;
   Counter& fault_raises_;

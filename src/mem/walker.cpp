@@ -1,6 +1,5 @@
 #include "mem/walker.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace vmsls::mem {
@@ -75,32 +74,13 @@ void PageWalker::note_ad_update(VirtAddr va, bool dirty) {
     bus_.request(BusRequest{*leaf, 8, /*is_write=*/true, [] {}});
 }
 
-void PageWalker::walk(VirtAddr va, std::function<void(WalkResult)> done) {
+void PageWalker::walk(VirtAddr va, WalkFn done) {
   queue_.push_back(Job{va, std::move(done), sim_.now()});
   try_start();
 }
 
 void PageWalker::try_start() {
-  while (active_ < cfg_.ports && !queue_.empty()) {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
-    begin(std::move(job));
-  }
-}
-
-PageWalker::Walk* PageWalker::acquire_walk() {
-  if (walk_free_.empty()) {
-    walk_pool_.push_back(std::make_unique<Walk>());
-    return walk_pool_.back().get();
-  }
-  Walk* w = walk_free_.back();
-  walk_free_.pop_back();
-  return w;
-}
-
-void PageWalker::release_walk(Walk* w) noexcept {
-  w->done = nullptr;  // drop the closure now; the slot may idle a long time
-  walk_free_.push_back(w);
+  while (active_ < cfg_.ports && !queue_.empty()) begin(queue_.pop_front());
 }
 
 void PageWalker::begin(Job job) {
@@ -108,7 +88,7 @@ void PageWalker::begin(Job job) {
   queue_wait_.record(sim_.now() - job.enqueued);
   walks_.add();
 
-  Walk* w = acquire_walk();
+  Walk* w = walks_pool_.acquire();
   w->va = job.va;
   w->done = std::move(job.done);
   w->started = sim_.now();
@@ -164,8 +144,8 @@ void PageWalker::finish(Walk* w, const WalkResult& r) {
   if (r.fault) faults_.add();
   walk_latency_.record(sim_.now() - w->started);
   --active_;
-  auto done = std::move(w->done);
-  release_walk(w);  // recycle before the continuation starts new walks
+  WalkFn done = std::move(w->done);
+  walks_pool_.release(w);  // recycle before the continuation starts new walks
   done(r);
   try_start();
 }

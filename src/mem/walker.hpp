@@ -9,15 +9,13 @@
 // walked regions, cutting full walks to a single memory read (ablation A1).
 #pragma once
 
-#include <deque>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/bus.hpp"
 #include "mem/pagetable.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::mem {
 
@@ -41,6 +39,9 @@ struct WalkResult {
   bool writable = false;
 };
 
+/// Completion of a walk (successful or faulting).
+using WalkFn = sim::InlineFn<void(const WalkResult&)>;
+
 class PageWalker {
  public:
   PageWalker(sim::Simulator& sim, MemoryBus& bus, PhysicalMemory& pm, const PageTable& pt,
@@ -51,7 +52,7 @@ class PageWalker {
 
   /// Starts (or queues) a walk for `va`; `done` fires when the walk
   /// completes, successfully or with a fault.
-  void walk(VirtAddr va, std::function<void(WalkResult)> done);
+  void walk(VirtAddr va, WalkFn done);
 
   /// Drops all cached interior entries. The OS model calls this as part of
   /// TLB shootdown whenever it changes the page tables.
@@ -70,9 +71,9 @@ class PageWalker {
 
  private:
   struct Job {
-    VirtAddr va;
-    std::function<void(WalkResult)> done;
-    Cycles enqueued;
+    VirtAddr va = 0;
+    WalkFn done;
+    Cycles enqueued = 0;
   };
   /// Per-walk state machine; several may be in flight. Instances are
   /// pooled and recycled (each callback chain holds exactly one live
@@ -81,7 +82,7 @@ class PageWalker {
     VirtAddr va = 0;
     unsigned level = 0;
     PhysAddr base = 0;
-    std::function<void(WalkResult)> done;
+    WalkFn done;
     Cycles started = 0;
   };
   struct CacheSlot {
@@ -97,9 +98,6 @@ class PageWalker {
   void on_pte(Walk* w, u64 raw);
   void finish(Walk* w, const WalkResult& r);
 
-  Walk* acquire_walk();
-  void release_walk(Walk* w) noexcept;
-
   bool cache_lookup(VirtAddr va, PhysAddr& base);
   void cache_fill(VirtAddr va, PhysAddr base);
   u64 cache_tag(VirtAddr va) const noexcept;
@@ -111,11 +109,9 @@ class PageWalker {
   WalkerConfig cfg_;
   std::string name_;
 
-  std::deque<Job> queue_;
+  Fifo<Job> queue_;
   unsigned active_ = 0;
-
-  std::vector<std::unique_ptr<Walk>> walk_pool_;  // owns every Walk ever made
-  std::vector<Walk*> walk_free_;                  // recycled, ready for reuse
+  Pool<Walk> walks_pool_;
 
   std::vector<CacheSlot> cache_;
   u64 cache_tick_ = 0;

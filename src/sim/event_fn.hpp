@@ -1,13 +1,15 @@
-// Move-only small-buffer callback for the event kernel.
+// Move-only small-buffer callbacks for the event kernel and the memory path.
 //
 // std::function heap-allocates any closure larger than its (typically 16B)
 // inline buffer, which puts one malloc/free pair on the critical path of
-// every scheduled event. EventFn widens the inline buffer to 56 bytes —
-// enough for every hot closure in the codebase (a `this` pointer plus a
-// handful of words, or a captured std::function) — and is move-only, so
-// callables never need to be copyable and a move is a flat memcpy-sized
-// relocation. Oversized or over-aligned callables transparently fall back
-// to the heap; behavior is identical either way.
+// every scheduled event. InlineFn<R(Args...)> widens the inline buffer to
+// 56 bytes — enough for every hot closure in the codebase (a `this` pointer
+// plus a handful of words) — and is move-only, so callables never need to
+// be copyable and a move is a flat memcpy-sized relocation. Oversized or
+// over-aligned callables transparently fall back to the heap; behavior is
+// identical either way. EventFn = InlineFn<void()> is the kernel's event
+// callback; the memory path's completions (a translated address, a walk
+// result) use the same template with arguments.
 #pragma once
 
 #include <cstddef>
@@ -16,19 +18,24 @@
 
 namespace vmsls::sim {
 
-class EventFn {
+template <typename Sig>
+class InlineFn;
+
+template <typename R, typename... Args>
+class InlineFn<R(Args...)> {
  public:
-  /// Inline storage, sized so EventNode (16B header + vtable-free 16B ops +
-  /// storage) stays within 96 bytes — 1.5 cache lines per pooled event.
+  /// Inline storage, sized so EventNode (16B header + 16B ops + storage)
+  /// stays within 96 bytes — 1.5 cache lines per pooled event.
   static constexpr std::size_t kInlineBytes = 56;
   static constexpr std::size_t kInlineAlign = alignof(void*);
 
-  EventFn() noexcept = default;
-  EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  InlineFn() noexcept = default;
+  InlineFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> && std::is_invocable_v<D&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
+            typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
+  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       invoke_ = &inline_invoke<D>;
@@ -40,9 +47,9 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { move_from(other); }
+  InlineFn(InlineFn&& other) noexcept { move_from(other); }
 
-  EventFn& operator=(EventFn&& other) noexcept {
+  InlineFn& operator=(InlineFn&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
@@ -50,12 +57,12 @@ class EventFn {
     return *this;
   }
 
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
 
-  ~EventFn() { reset(); }
+  ~InlineFn() { reset(); }
 
-  void operator()() { invoke_(storage_); }
+  R operator()(Args... args) { return invoke_(storage_, std::forward<Args>(args)...); }
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
@@ -77,12 +84,13 @@ class EventFn {
  private:
   // Relocate = move-construct into `dst` and destroy `src`; destroy-only
   // when `dst` is null. One pointer covers move, destroy, and heap free.
-  using Invoke = void (*)(void*);
+  using Invoke = R (*)(void*, Args&&...);
   using Relocate = void (*)(void* src, void* dst) noexcept;
 
   template <typename D>
-  static void inline_invoke(void* s) {
-    (*static_cast<D*>(s))();
+  static R inline_invoke(void* s, Args&&... args) {
+    // static_cast<void> discards whatever a void signature's callable returns.
+    return static_cast<R>((*static_cast<D*>(s))(std::forward<Args>(args)...));
   }
   template <typename D>
   static void inline_relocate(void* src, void* dst) noexcept {
@@ -91,8 +99,8 @@ class EventFn {
     f->~D();
   }
   template <typename D>
-  static void heap_invoke(void* s) {
-    (**static_cast<D**>(s))();
+  static R heap_invoke(void* s, Args&&... args) {
+    return static_cast<R>((**static_cast<D**>(s))(std::forward<Args>(args)...));
   }
   template <typename D>
   static void heap_relocate(void* src, void* dst) noexcept {
@@ -103,7 +111,7 @@ class EventFn {
       delete *p;
   }
 
-  void move_from(EventFn& other) noexcept {
+  void move_from(InlineFn& other) noexcept {
     invoke_ = other.invoke_;
     relocate_ = other.relocate_;
     if (invoke_ != nullptr) {
@@ -117,5 +125,8 @@ class EventFn {
   Relocate relocate_ = nullptr;
   alignas(kInlineAlign) unsigned char storage_[kInlineBytes];
 };
+
+/// The event kernel's callback type.
+using EventFn = InlineFn<void()>;
 
 }  // namespace vmsls::sim

@@ -15,10 +15,12 @@ struct CachedPortFixture : ::testing::Test {
   CachedMemPort port{ms.sim, ms.as, caches, "p"};
 
   std::vector<u8> read_sync(VirtAddr va, u32 bytes) {
-    std::vector<u8> out;
-    port.read(va, bytes, [&](std::vector<u8> data) { out = std::move(data); });
+    std::vector<u8> out(bytes);
+    bool done = false;
+    port.read(va, out, [&] { done = true; });
     while (ms.sim.step()) {
     }
+    EXPECT_TRUE(done);
     return out;
   }
 

@@ -15,16 +15,13 @@ class FakeMemPort final : public MemPort {
  public:
   FakeMemPort(sim::Simulator& sim, Cycles latency = 5) : sim_(sim), latency_(latency) {}
 
-  void read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) override {
+  void read(VirtAddr va, std::span<u8> dst, sim::EventFn done) override {
     ++reads;
-    std::vector<u8> out(bytes);
-    for (u32 i = 0; i < bytes; ++i) out[i] = mem_[va + i];
-    sim_.schedule_in(latency_, [done = std::move(done), out = std::move(out)]() mutable {
-      done(std::move(out));
-    });
+    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = mem_[va + i];
+    sim_.schedule_in(latency_, std::move(done));
   }
 
-  void write(VirtAddr va, std::span<const u8> data, std::function<void()> done) override {
+  void write(VirtAddr va, std::span<const u8> data, sim::EventFn done) override {
     ++writes;
     for (std::size_t i = 0; i < data.size(); ++i) mem_[va + i] = data[i];
     sim_.schedule_in(latency_, std::move(done));

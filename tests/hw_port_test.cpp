@@ -38,9 +38,11 @@ struct HwPortFixture : ::testing::Test, mem::FaultSink {
   }
 
   std::vector<u8> read_sync(VirtAddr va, u32 bytes) {
-    std::vector<u8> out;
-    port->read(va, bytes, [&](std::vector<u8> data) { out = std::move(data); });
+    std::vector<u8> out(bytes);
+    bool done = false;
+    port->read(va, out, [&] { done = true; });
     ms.run_all();
+    EXPECT_TRUE(done);
     return out;
   }
 
@@ -131,14 +133,10 @@ TEST_F(HwPortFixture, CrossPageReadWithFaultPinned) {
   ms.as.write(va, first);
 
   Cycles done_at = 0;
-  std::vector<u8> out;
-  port->read(va + 4096 - 96, 128, [&](std::vector<u8> data) {
-    out = std::move(data);
-    done_at = ms.sim.now();
-  });
+  std::vector<u8> out(128);
+  port->read(va + 4096 - 96, out, [&] { done_at = ms.sim.now(); });
   ms.run_all();
 
-  ASSERT_EQ(out.size(), 128u);
   for (std::size_t i = 0; i < 96; ++i) EXPECT_EQ(out[i], first[4096 - 96 + i]) << i;
   for (std::size_t i = 96; i < 128; ++i) EXPECT_EQ(out[i], 0xA5) << i;
   EXPECT_EQ(faults, 1);
@@ -182,7 +180,7 @@ TEST_F(HwPortFixture, EngineBurstLoadAcrossPagePinned) {
 
 TEST_F(HwPortFixture, ZeroByteAccessRejected) {
   make_port();
-  EXPECT_THROW(port->read(0, 0, [](std::vector<u8>) {}), std::invalid_argument);
+  EXPECT_THROW(port->read(0, std::span<u8>(), [] {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -244,6 +244,71 @@ TEST(EventFn, SchedulableWithMoveOnlyCapture) {
   EXPECT_EQ(result, 9);
 }
 
+// --- InlineFn<R(Args...)>: the same callback type with arguments ---
+
+using AddrFn = InlineFn<void(PhysAddr)>;
+
+TEST(InlineFn, PassesArgumentsInline) {
+  struct Sum {
+    u64 base;
+    u64* out;
+    void operator()(PhysAddr pa) { *out = base + pa; }
+  };
+  static_assert(AddrFn::fits_inline<Sum>());
+  static_assert(sizeof(AddrFn) == sizeof(EventFn));
+  u64 result = 0;
+  AddrFn fn = Sum{0x100, &result};
+  fn(0x20);
+  EXPECT_EQ(result, 0x120u);
+  fn(0x1);  // callable more than once; state persists
+  EXPECT_EQ(result, 0x101u);
+}
+
+TEST(InlineFn, HeapFallbackPassesArguments) {
+  struct Big {
+    u64 pad[16];
+    u64* out;
+    void operator()(PhysAddr pa) { *out = pad[0] + pad[15] + pa; }
+  };
+  static_assert(!AddrFn::fits_inline<Big>());
+  u64 result = 0;
+  Big big{};
+  big.pad[0] = 40;
+  big.pad[15] = 2;
+  big.out = &result;
+  AddrFn fn = big;
+  AddrFn moved = std::move(fn);
+  EXPECT_FALSE(static_cast<bool>(fn));
+  moved(1000);
+  EXPECT_EQ(result, 1042u);
+}
+
+TEST(InlineFn, MoveOnlyCapturesAndMoveAssignment) {
+  auto payload = std::make_unique<u64>(7);
+  u64 result = 0;
+  AddrFn fn = [p = std::move(payload), &result](PhysAddr pa) { result = *p * pa; };
+  AddrFn other = [&result](PhysAddr) { result = 1; };
+  other = std::move(fn);  // destroys the old target, takes the move-only one
+  other(6);
+  EXPECT_EQ(result, 42u);
+  other.reset();
+  EXPECT_FALSE(static_cast<bool>(other));
+}
+
+TEST(InlineFn, ReturnsValuesAndReferenceArguments) {
+  InlineFn<u64(const std::vector<u64>&)> sum = [](const std::vector<u64>& v) {
+    u64 s = 0;
+    for (const u64 x : v) s += x;
+    return s;
+  };
+  EXPECT_EQ(sum(std::vector<u64>{1, 2, 3}), 6u);
+  // A void signature accepts, and discards, a callable's return value.
+  int calls = 0;
+  InlineFn<void(int)> fn = [&calls](int k) { return calls += k; };
+  fn(2);
+  EXPECT_EQ(calls, 2);
+}
+
 // --- clock domains ---
 
 TEST(ClockDomain, UnityRatioIsIdentity) {

@@ -82,6 +82,8 @@ struct Options {
         "  --stats           dump the full statistics snapshot\n"
         "  --trace PATH      write a Perfetto/Chrome trace_event JSON of the run\n"
         "  --telemetry PATH  write a periodic pressure time-series CSV\n"
+        "                    (--trace and --telemetry: single runs only; --serve\n"
+        "                    and --sweep-seeds reject them with exit status 2)\n"
         "  --telemetry-period N\n"
         "                    telemetry sampling period in cycles (default 20000)\n"
         "  --sweep-seeds K   run K replicas with seeds S..S+K-1 and merge stats\n"
@@ -173,10 +175,6 @@ sls::PlatformSpec make_run_platform(const Options& opt) {
 /// synthesizes and simulates its own system; results and merged stats are
 /// bit-identical whatever --shards is.
 int run_sweep(const Options& opt) {
-  if (!opt.trace_path.empty() || !opt.telemetry_path.empty()) {
-    std::cerr << "error: --trace/--telemetry apply to single runs only\n";
-    return 2;
-  }
   struct Replica {
     Cycles cycles = 0;
     u64 faults = 0;
@@ -307,6 +305,11 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     if (!parse(argc, argv, opt)) return 0;
+    if ((opt.serve > 0 || opt.sweep_seeds > 1) &&
+        (!opt.trace_path.empty() || !opt.telemetry_path.empty())) {
+      std::cerr << "error: --trace/--telemetry apply to single runs only\n";
+      return 2;
+    }
     if (opt.serve > 0) return run_serve(opt);
     if (opt.sweep_seeds > 1) return run_sweep(opt);
 
