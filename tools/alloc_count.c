@@ -13,6 +13,7 @@
 #define _GNU_SOURCE
 #include <errno.h>
 #include <stddef.h>
+#include <stdio.h>
 #include <unistd.h>
 
 extern void* __libc_malloc(size_t);
@@ -55,18 +56,8 @@ int posix_memalign(void** out, size_t align, size_t n) {
 
 __attribute__((destructor)) static void report(void) {
   char buf[64];
-  char digits[24];
-  unsigned long long v = __atomic_load_n(&allocations, __ATOMIC_RELAXED);
-  int d = 0;
-  do {
-    digits[d++] = (char)('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  const char prefix[] = "[alloc_count] allocations=";
-  size_t len = 0;
-  for (size_t i = 0; i + 1 < sizeof prefix; ++i) buf[len++] = prefix[i];
-  while (d > 0) buf[len++] = digits[--d];
-  buf[len++] = '\n';
-  ssize_t ignored = write(2, buf, len);
+  const int len = snprintf(buf, sizeof buf, "[alloc_count] allocations=%llu\n",
+                           __atomic_load_n(&allocations, __ATOMIC_RELAXED));
+  ssize_t ignored = write(2, buf, (size_t)len);
   (void)ignored;
 }
