@@ -10,6 +10,7 @@
 // Emits BENCH_engine.json (see bench::EngineBenchReport for the schema) so
 // CI can archive the perf trajectory run over run.
 
+#include <algorithm>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -142,9 +143,9 @@ Rate bench_event_trace_control(u64 n) {
 
 /// Tracing-disabled overhead: identical loop plus the VMSLS_TRACE_* sites a
 /// traced component carries per event. With no sink attached each site must
-/// cost one well-predicted branch; main() gates this against the control at
-/// 20% (an in-process, machine-independent check — check_bench.py tracks
-/// the absolute rates on top).
+/// cost one well-predicted branch; main() gates the median of alternating
+/// samples against the control's at 20% (an in-process, machine-independent
+/// check — check_bench.py tracks the absolute rates on top).
 Rate bench_event_trace_macro_off(u64 n) {
   Cycles covered = 0;
   Rate r = measure(n, [n, &covered] {
@@ -284,6 +285,13 @@ Rate bench_engine_alu() {
   return r;
 }
 
+/// The sample with the median rate (the upper median for an even count).
+Rate median_rate(std::vector<Rate> samples) {
+  std::sort(samples.begin(), samples.end(),
+            [](const Rate& a, const Rate& b) { return a.items_per_sec < b.items_per_sec; });
+  return samples[samples.size() / 2];
+}
+
 bench::RunResult run_fig_style(const std::string& workload, u64 n) {
   workloads::WorkloadParams p;
   p.n = n;
@@ -305,14 +313,20 @@ int main() {
   row("event_queue_16k", bench_event_queue(16384));
   row("event_steady_64x4k", bench_event_steady(64, 4096));
   row("event_far_heap_4k", bench_event_far(4096));
-  {
-    const Rate ctl = bench_event_trace_control(16384);
-    const Rate off = bench_event_trace_macro_off(16384);
-    row("event_trace_ctl_16k", ctl);
-    row("event_traced_off_16k", off);
-    if (off.items_per_sec < 0.80 * ctl.items_per_sec)
-      throw std::runtime_error("tracing-disabled overhead exceeds 20% of the control rate");
+  // Tracing-overhead gate. One 200 ms sample of each side swings with host
+  // noise, so the two sections alternate for kGatePairs samples each and
+  // the gate compares their medians — evaluated only after the table and
+  // BENCH_engine.json are written, so a failing gate still leaves both.
+  constexpr int kGatePairs = 5;
+  std::vector<Rate> ctls, offs;
+  for (int i = 0; i < kGatePairs; ++i) {
+    ctls.push_back(bench_event_trace_control(16384));
+    offs.push_back(bench_event_trace_macro_off(16384));
   }
+  const Rate ctl = median_rate(ctls);
+  const Rate off = median_rate(offs);
+  row("event_trace_ctl_16k", ctl);
+  row("event_traced_off_16k", off);
   row("tlb_lookup_hit", bench_tlb_lookup(1 << 16));
   row("passthrough_translate", bench_passthrough_translate(1 << 14));
   row("hw_port_read_8b", bench_port_reads(1 << 14, 8, 16 * KiB, false));
@@ -364,5 +378,16 @@ int main() {
   table.print(std::cout, "Simulator substrate microbenchmarks");
   report.write_json("BENCH_engine.json");
   std::cout << "wrote BENCH_engine.json\n";
+
+  if (off.items_per_sec < 0.80 * ctl.items_per_sec) {
+    std::cerr << "bench_micro_core: gate failed: event_traced_off_16k median "
+              << off.items_per_sec << " items/s is below 0.80x event_trace_ctl_16k median "
+              << ctl.items_per_sec << " items/s (tracing-disabled overhead over 20%); "
+              << "per-pair off/ctl ratios:";
+    for (int i = 0; i < kGatePairs; ++i)
+      std::cerr << " " << offs[i].items_per_sec / ctls[i].items_per_sec;
+    std::cerr << "\n";
+    return 1;
+  }
   return 0;
 }

@@ -8,7 +8,7 @@ namespace vmsls::mem {
 
 AddressSpace::AddressSpace(PhysicalMemory& pm, FrameAllocator& frames, const PageTableConfig& cfg,
                            VirtAddr heap_base)
-    : pm_(pm), frames_(frames), pt_(pm, frames, cfg), brk_(heap_base) {
+    : pm_(pm), frames_(frames), pt_(pm, frames, cfg), brk_(heap_base), backing_(pt_.page_bytes()) {
   require(heap_base > 0, "heap must not start at the null page");
 }
 
@@ -22,10 +22,10 @@ VirtAddr AddressSpace::alloc(u64 bytes, u64 align) {
   return va;
 }
 
-std::vector<u8>& AddressSpace::backing_page(u64 vpn) {
-  auto& page = backing_[vpn];
-  if (page.empty()) page.assign(page_bytes(), 0);
-  return page;
+std::span<u8> AddressSpace::backing_page(u64 vpn) {
+  PageState& s = pages_.at(vpn);
+  if (s.backing == 0) s.backing = backing_.alloc();
+  return backing_.page(s.backing);
 }
 
 VirtAddr AddressSpace::mmap(BackingFile& file, u64 offset, u64 bytes, bool shared) {
@@ -56,12 +56,16 @@ void AddressSpace::bind_file(VirtAddr va, u64 bytes, BackingFile& file, u64 offs
   for (u64 i = 0; i < pages; ++i) {
     const u64 vpn = first_vpn + i;
     auto dst = file.block_data(offset / page + i);
+    PageState* s = pages_.find(vpn);
     if (const auto pte = pt_.lookup(vpn * page)) {
       pm_.read(frames_.frame_addr(pte->frame), dst);
-    } else if (auto it = backing_.find(vpn); it != backing_.end()) {
-      std::memcpy(dst.data(), it->second.data(), dst.size());
+    } else if (s != nullptr && s->backing != 0) {
+      std::memcpy(dst.data(), backing_.page(s->backing).data(), dst.size());
     }
-    backing_.erase(vpn);
+    if (s != nullptr && s->backing != 0) {
+      backing_.release(s->backing);
+      s->backing = 0;
+    }
   }
   FileRegion region{first_vpn, pages, &file, offset / page, shared};
   const auto pos = std::upper_bound(
@@ -91,8 +95,7 @@ void AddressSpace::sync_page(u64 vpn) {
   } else {
     // Anonymous page, or a private file page whose modifications must land
     // in the process-local copy — never in the shared file.
-    auto& store = backing_page(vpn);
-    pm_.read(pa, std::span<u8>(store.data(), store.size()));
+    pm_.read(pa, backing_page(vpn));
   }
 }
 
@@ -108,7 +111,7 @@ u64 AddressSpace::map_page(VirtAddr va, bool writable) {
     if (const auto shared = share_->lookup(fp->file->id(), fp->block)) {
       frames_.ref(*shared);
       pt_.map(base, *shared, writable);
-      resident_vpns_.insert(vpn);
+      set_resident(vpn, true);
       ++demand_maps_;
       if (observer_) observer_->on_map(vpn, *shared);
       return *shared;
@@ -123,16 +126,15 @@ u64 AddressSpace::map_page(VirtAddr va, bool writable) {
   const PhysAddr pa = frames_.frame_addr(*frame);
   // Fill order: a saved anonymous/private copy wins over the file (it holds
   // the page's private modifications), the file wins over zero-fill.
-  auto it = backing_.find(vpn);
-  if (it != backing_.end()) {
-    pm_.write(pa, std::span<const u8>(it->second.data(), it->second.size()));
+  if (const PageState* s = pages_.find(vpn); s != nullptr && s->backing != 0) {
+    pm_.write(pa, backing_.page(s->backing));
   } else if (fp) {
     pm_.write(pa, fp->file->block_data(fp->block));
   } else {
     pm_.clear(pa, page);
   }
   pt_.map(base, *frame, writable);
-  resident_vpns_.insert(vpn);
+  set_resident(vpn, true);
   ++demand_maps_;
   if (share_ != nullptr && fp && fp->shared) share_->insert(fp->file->id(), fp->block, *frame);
   if (observer_) observer_->on_map(vpn, *frame);
@@ -156,23 +158,19 @@ u64 AddressSpace::evict(VirtAddr va, u64 bytes) {
     const auto fp = file_page(vpn);
     if (!fp) {
       // Anonymous: contents always survive in the backing store.
-      auto& store = backing_page(vpn);
-      pm_.read(pa, std::span<u8>(store.data(), store.size()));
+      pm_.read(pa, backing_page(vpn));
     } else if (!fp->shared) {
       // Private file page: save the process-local copy once it diverges (or
       // has diverged before — a pageout-cleaned page is clean in the PTE but
       // its truth lives in the backing store, which must stay fresh).
-      if (pte->dirty || backing_.count(vpn)) {
-        auto& store = backing_page(vpn);
-        pm_.read(pa, std::span<u8>(store.data(), store.size()));
-      }
+      if (pte->dirty || has_backing(vpn)) pm_.read(pa, backing_page(vpn));
     } else {
       // Shared file page: dirty writes back to the file; clean drops free.
       if (pte->dirty) pm_.read(pa, fp->file->block_data(fp->block));
     }
     pt_.unmap(p);
     const u64 sharers_left = frames_.free(pte->frame);
-    resident_vpns_.erase(vpn);
+    set_resident(vpn, false);
     if (share_ != nullptr && fp && fp->shared && sharers_left == 0)
       share_->erase(fp->file->id(), fp->block);
     ++evicted;
@@ -184,14 +182,20 @@ u64 AddressSpace::evict(VirtAddr va, u64 bytes) {
 u64 AddressSpace::fork_from(AddressSpace& parent) {
   require(&pm_ == &parent.pm_ && &frames_ == &parent.frames_,
           "fork_from requires both address spaces to live on one physical machine");
-  require(resident_vpns_.empty() && regions_.empty() && backing_.empty(),
+  require(resident_pages() == 0 && regions_.empty() && backing_.in_use() == 0,
           "fork_from target must be a fresh address space");
   brk_ = parent.brk_;
   regions_ = parent.regions_;
-  backing_ = parent.backing_;  // inherited swap/file-divergence copies
+  // Inherited swap/file-divergence copies.
+  parent.pages_.for_each([&](u64 vpn, const PageState& ps) {
+    if (ps.backing != 0) {
+      const auto src = parent.backing_.page(ps.backing);
+      std::memcpy(backing_page(vpn).data(), src.data(), src.size());
+    }
+  });
   const u64 page = page_bytes();
   u64 shared = 0;
-  for (const u64 vpn : parent.resident_vpns_) {
+  parent.for_each_resident([&](u64 vpn) {
     const VirtAddr va = vpn * page;
     const auto pte = parent.pt_.lookup(va);
     require(pte.has_value(), "fork_from: resident page has no PTE");
@@ -200,10 +204,11 @@ u64 AddressSpace::fork_from(AddressSpace& parent) {
     if (!truly_shared && pte->writable) parent.pt_.set_writable(va, false);
     frames_.ref(pte->frame);
     pt_.map(va, pte->frame, truly_shared ? pte->writable : false);
-    resident_vpns_.insert(vpn);
+    set_resident(vpn, true);
+    ++inherited_maps_;
     if (observer_) observer_->on_map(vpn, pte->frame);
     ++shared;
-  }
+  });
   return shared;
 }
 
@@ -223,9 +228,9 @@ AddressSpace::CowResult AddressSpace::cow_resolve(VirtAddr va) {
   auto frame = frames_.alloc();
   if (!frame && reclaim_ && reclaim_(1) > 0) frame = frames_.alloc();
   if (!frame) throw std::runtime_error("AddressSpace: out of physical frames for a COW copy");
-  std::vector<u8> buf(page);
-  pm_.read(frames_.frame_addr(pte->frame), std::span<u8>(buf.data(), buf.size()));
-  pm_.write(frames_.frame_addr(*frame), std::span<const u8>(buf.data(), buf.size()));
+  copy_buf_.resize(page);
+  pm_.read(frames_.frame_addr(pte->frame), copy_buf_);
+  pm_.write(frames_.frame_addr(*frame), copy_buf_);
   pt_.unmap(base);
   pt_.map(base, *frame, /*writable=*/true);
   frames_.free(pte->frame);  // drop this space's reference on the shared frame
@@ -233,13 +238,14 @@ AddressSpace::CowResult AddressSpace::cow_resolve(VirtAddr va) {
   return CowResult{true, *frame};
 }
 
-void AddressSpace::pin(VirtAddr va) { ++pins_[va / page_bytes()]; }
+void AddressSpace::pin(VirtAddr va) {
+  if (pages_.at(va / page_bytes()).pins++ == 0) ++pinned_;
+}
 
 void AddressSpace::unpin(VirtAddr va) {
-  const u64 vpn = va / page_bytes();
-  auto it = pins_.find(vpn);
-  require(it != pins_.end(), "unpin of a page that holds no pins");
-  if (--it->second == 0) pins_.erase(it);
+  PageState* s = pages_.find(va / page_bytes());
+  require(s != nullptr && s->pins != 0, "unpin of a page that holds no pins");
+  if (--s->pins == 0) --pinned_;
 }
 
 std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {

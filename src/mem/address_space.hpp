@@ -11,14 +11,13 @@
 
 #include <functional>
 #include <optional>
-#include <set>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/backing_file.hpp"
 #include "mem/frame_share.hpp"
 #include "mem/frames.hpp"
+#include "mem/page_state.hpp"
 #include "mem/pagetable.hpp"
 #include "mem/physmem.hpp"
 
@@ -159,17 +158,31 @@ class AddressSpace {
   void write_u32(VirtAddr va, u32 v) { write_scalar<u32>(va, v); }
 
   /// Pages currently resident (mapped leaf PTEs created through this API).
-  u64 resident_pages() const noexcept { return static_cast<u64>(resident_vpns_.size()); }
+  u64 resident_pages() const noexcept { return pages_.live_count(); }
   u64 faults_serviced() const noexcept { return demand_maps_; }
+  /// Every mapping this space has made: demand maps plus the pages shared
+  /// in by fork_from. Each unmap undoes one, so resident_pages() ==
+  /// maps() - unmaps — the residency ledger sls::audit checks.
+  u64 maps() const noexcept { return demand_maps_ + inherited_maps_; }
 
-  /// Iterates resident virtual page numbers in ascending order.
-  void for_each_resident(const std::function<void(u64)>& fn) const {
-    for (const u64 vpn : resident_vpns_) fn(vpn);
+  /// Calls fn(vpn) for every resident virtual page, in ascending order.
+  template <typename F>
+  void for_each_resident(F&& fn) const {
+    pages_.for_each_live([&fn](u64 vpn, const PageState&) { fn(vpn); });
   }
+
+  /// The per-vpn page-state records (see mem/page_state.hpp). The swap
+  /// scheduler and the pager keep their per-page fields here; residency is
+  /// the directory's live bit and is changed only by this class.
+  PageStates& page_states() noexcept { return pages_; }
+  const PageStates& page_states() const noexcept { return pages_; }
 
   /// True when the backing store holds saved contents for the page (it has
   /// been evicted at least once).
-  bool has_backing(u64 vpn) const { return backing_.count(vpn) != 0; }
+  bool has_backing(u64 vpn) const {
+    const PageState* s = pages_.find(vpn);
+    return s != nullptr && s->backing != 0;
+  }
 
   /// Page-pin refcounts: a hardware port holds a pin across each in-flight
   /// access (translate -> bus completion), and replacement policies skip
@@ -179,8 +192,11 @@ class AddressSpace {
   /// (a faulting page is pinned before it maps).
   void pin(VirtAddr va);
   void unpin(VirtAddr va);
-  bool is_pinned_vpn(u64 vpn) const { return pins_.count(vpn) != 0; }
-  u64 pinned_pages() const noexcept { return static_cast<u64>(pins_.size()); }
+  bool is_pinned_vpn(u64 vpn) const {
+    const PageState* s = pages_.find(vpn);
+    return s != nullptr && s->pins != 0;
+  }
+  u64 pinned_pages() const noexcept { return pinned_; }
 
   /// At most one observer; pass nullptr to detach.
   void set_residency_observer(ResidencyObserver* obs) noexcept { observer_ = obs; }
@@ -209,17 +225,25 @@ class AddressSpace {
     bool shared = false;
   };
 
-  std::vector<u8>& backing_page(u64 vpn);
+  /// The page's saved-contents buffer, allocated on first use; callers
+  /// overwrite all of it.
+  std::span<u8> backing_page(u64 vpn);
+  void set_resident(u64 vpn, bool on) {
+    pages_.at(vpn);
+    pages_.set_live(vpn, on);
+  }
 
   PhysicalMemory& pm_;
   FrameAllocator& frames_;
   PageTable pt_;
   VirtAddr brk_;
-  std::unordered_map<u64, std::vector<u8>> backing_;  // vpn -> page contents
-  std::vector<FileRegion> regions_;                   // sorted by first_vpn, non-overlapping
-  std::unordered_map<u64, u32> pins_;                 // vpn -> in-flight access count
-  std::set<u64> resident_vpns_;  // ordered: deterministic policy seeding
+  PageStates pages_;                  // vpn -> record; live = resident
+  PageArena backing_;                 // saved contents, one buffer per evicted page
+  std::vector<FileRegion> regions_;   // sorted by first_vpn, non-overlapping
+  std::vector<u8> copy_buf_;          // cow_resolve's page copy, reused
+  u64 pinned_ = 0;                    // vpns with pins != 0
   u64 demand_maps_ = 0;
+  u64 inherited_maps_ = 0;            // pages shared in by fork_from
   ResidencyObserver* observer_ = nullptr;
   FrameShareIndex* share_ = nullptr;
   ReclaimHook reclaim_;

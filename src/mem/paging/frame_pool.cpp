@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "mem/paging/pager.hpp"
@@ -31,14 +32,16 @@ FramePool::FramePool(sim::Simulator& sim, const FramePoolConfig& cfg, std::strin
   policy_ = make_policy(
       cfg_.policy,
       AccessedProbe([this](u64 frame) {
-        const auto it = owners_.find(frame);
-        if (it == owners_.end()) return false;
+        const Owners* o = owners_of(frame);
+        if (o == nullptr) return false;
         // Probe *every* sharer (each test-and-clears its own PTE bit) and OR
         // the results — short-circuiting would leave later sharers' bits
         // set, making the frame look perpetually hot to the sweep.
         bool any = false;
-        for (const auto& [p, vpn] : it->second)
+        any_sharer(*o, [&any](Pager* p, u64 vpn) {
           if (p->probe_accessed(vpn)) any = true;
+          return false;
+        });
         return any;
       }),
       cfg_.policy_seed);
@@ -47,22 +50,18 @@ FramePool::FramePool(sim::Simulator& sim, const FramePoolConfig& cfg, std::strin
   // (Per-(member, vpn) pin checks let other sharers evict a pinned frame —
   // the sharer-pin bug this owner-set probe fixes.)
   policy_->set_pinned_probe([this](u64 frame) {
-    const auto it = owners_.find(frame);
-    if (it == owners_.end()) return false;
-    for (const auto& [p, vpn] : it->second)
-      if (p->space().is_pinned_vpn(vpn)) return true;
-    return false;
+    const Owners* o = owners_of(frame);
+    return o != nullptr &&
+           any_sharer(*o, [](Pager* p, u64 vpn) { return p->space().is_pinned_vpn(vpn); });
   });
   // Wrong-path readahead landings are reclaimed first machine-wide too: a
   // frame is speculative only while *every* mapping of it is an
   // unreferenced prefetch landing.
   policy_->set_speculative_probe(
       [this](u64 frame) {
-        const auto it = owners_.find(frame);
-        if (it == owners_.end() || it->second.empty()) return false;
-        for (const auto& [p, vpn] : it->second)
-          if (!p->is_speculative(vpn)) return false;
-        return true;
+        const Owners* o = owners_of(frame);
+        return o != nullptr &&
+               !any_sharer(*o, [](Pager* p, u64 vpn) { return !p->is_speculative(vpn); });
       },
       [this] {
         for (Pager* p : members_)
@@ -129,10 +128,13 @@ void FramePool::detach(Pager& pager) {
 }
 
 void FramePool::add_mapping(Pager& pager, u64 vpn, u64 frame) {
-  auto& sharers = owners_[frame];
-  sharers.emplace_back(&pager, vpn);
+  Owners& o = owners_.at(frame);
   ++mapped_pages_;
-  if (sharers.size() == 1) {
+  if (o.pager != nullptr) {
+    o.more.emplace_back(&pager, vpn);
+  } else {
+    o.pager = &pager;
+    o.vpn = vpn;
     // First mapping: the frame enters the sweep and costs one budget unit.
     // The global sweep ring is only consulted by kGlobal victim selection;
     // in kPerProcess mode maintaining it would be O(resident) churn per
@@ -144,16 +146,23 @@ void FramePool::add_mapping(Pager& pager, u64 vpn, u64 frame) {
 }
 
 void FramePool::remove_mapping(Pager& pager, u64 vpn, u64 frame) {
-  const auto it = owners_.find(frame);
-  require(it != owners_.end(), "pool unmap of an untracked frame");
-  auto& sharers = it->second;
-  const auto pos = std::find(sharers.begin(), sharers.end(), Sharer{&pager, vpn});
-  require(pos != sharers.end(), "pool unmap of an untracked mapping");
-  sharers.erase(pos);
+  Owners* o = owners_.find(frame);
+  require(o != nullptr && o->pager != nullptr, "pool unmap of an untracked frame");
+  if (o->pager == &pager && o->vpn == vpn) {
+    if (o->more.empty()) {
+      o->pager = nullptr;
+    } else {
+      std::tie(o->pager, o->vpn) = o->more.front();
+      o->more.erase(o->more.begin());
+    }
+  } else {
+    const auto pos = std::find(o->more.begin(), o->more.end(), Sharer{&pager, vpn});
+    require(pos != o->more.end(), "pool unmap of an untracked mapping");
+    o->more.erase(pos);
+  }
   require(mapped_pages_ > 0, "pool mapped-pages underflow");
   --mapped_pages_;
-  if (sharers.empty()) {
-    owners_.erase(it);
+  if (o->pager == nullptr) {
     if (cfg_.mode == BudgetMode::kGlobal) policy_->on_remove(frame);
     require(resident_ > 0, "pool residency underflow");
     --resident_;
@@ -197,15 +206,18 @@ bool FramePool::over_watermark(u64 pct) const noexcept {
   return (resident_ + pending_) * 100 >= cfg_.total_frames * pct;
 }
 
-std::optional<FramePool::Victim> FramePool::pick_victim() {
+const FramePool::Victim* FramePool::pick_victim() {
   const auto key = policy_->pick_victim();
-  if (!key) return std::nullopt;
-  const auto it = owners_.find(*key);
-  require(it != owners_.end() && !it->second.empty(), "pool victim frame has no owner-set");
-  Victim v;
-  v.frame = *key;
-  v.sharers = it->second;  // snapshot: eviction mutates the live set
-  return v;
+  if (!key) return nullptr;
+  const Owners* o = owners_of(*key);
+  require(o != nullptr, "pool victim frame has no owner-set");
+  victim_.frame = *key;
+  victim_.sharers.clear();
+  any_sharer(*o, [this](Pager* p, u64 vpn) {
+    victim_.sharers.emplace_back(p, vpn);
+    return false;
+  });
+  return &victim_;
 }
 
 void FramePool::record_eviction(const Pager& asking, bool cross, u64 trace_id) {

@@ -26,14 +26,13 @@
 // size.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mem/paging/replacement.hpp"
 #include "sim/simulator.hpp"
+#include "util/directory.hpp"
 
 namespace vmsls::paging {
 
@@ -109,9 +108,11 @@ class FramePool {
   /// the pageout daemon's pressure signal.
   bool over_watermark(u64 pct) const noexcept;
 
-  /// Nominates the next victim across every member (global sweep). The
-  /// caller evicts through the owner; eviction feeds back via note_unmap.
-  std::optional<Victim> pick_victim();
+  /// Nominates the next victim across every member (global sweep), or null
+  /// when none qualifies. The caller evicts through the owner; eviction
+  /// feeds back via note_unmap. The victim is a snapshot (eviction mutates
+  /// the live owner-set) held by the pool until the next pick_victim.
+  const Victim* pick_victim();
 
   /// Caller reports the frame eviction it performed (one per victim frame,
   /// however many sharers were shot down) so cross-process pressure is
@@ -149,6 +150,30 @@ class FramePool {
   u64 rebalances() const noexcept { return rebalances_.value(); }
 
  private:
+  /// A frame's mappings in map order: the first inline (a frame mapped
+  /// once — the unshared common case — needs nothing more), later sharers
+  /// in `more`. `pager` is null while the frame is unmapped.
+  struct Owners {
+    Pager* pager = nullptr;
+    u64 vpn = 0;
+    std::vector<Sharer> more;
+  };
+
+  /// Calls fn(pager, vpn) for each mapping of the frame, in map order;
+  /// stops early, returning true, when fn does.
+  template <typename F>
+  static bool any_sharer(const Owners& o, F&& fn) {
+    if (o.pager == nullptr) return false;
+    if (fn(o.pager, o.vpn)) return true;
+    for (const auto& [p, vpn] : o.more)
+      if (fn(p, vpn)) return true;
+    return false;
+  }
+  const Owners* owners_of(u64 frame) const {
+    const Owners* o = owners_.find(frame);
+    return o != nullptr && o->pager != nullptr ? o : nullptr;
+  }
+
   unsigned member_id(const Pager& pager) const;
   void add_mapping(Pager& pager, u64 vpn, u64 frame);
   void remove_mapping(Pager& pager, u64 vpn, u64 frame);
@@ -159,9 +184,13 @@ class FramePool {
   sim::TraceTrack trace_track_ = 0;
   std::vector<Pager*> members_;  // index = member id; nullptr after detach
   std::unique_ptr<ReplacementPolicy> policy_;
-  /// frame -> its mappings, in map order. The policy's opaque keys are the
-  /// frame numbers; probes aggregate over this set.
-  std::unordered_map<u64, std::vector<Sharer>> owners_;
+  /// The frame table: frame number -> its mappings. The policy's opaque
+  /// keys are the frame numbers; probes aggregate over the owner-set. One
+  /// table per machine, so its leaves span 512 frames (2 MiB of 4 KiB
+  /// frames, a PhysicalMemory leaf's span): the frame allocator's slow
+  /// drift onto unused frames rarely needs a new one.
+  Directory<Owners, 9> owners_;
+  Victim victim_;  // pick_victim's snapshot, storage reused
   u64 resident_ = 0;      // unique frames (owner-set count)
   u64 mapped_pages_ = 0;  // total mappings (sum of owner-set sizes)
   u64 pending_ = 0;

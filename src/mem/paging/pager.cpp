@@ -51,7 +51,7 @@ Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, 
                                                   name_ + ".swap");
     sched_ = owned_swap_.get();
   }
-  swap_owner_ = sched_->register_owner(name_);
+  swap_owner_ = sched_->register_owner(name_, &as_.page_states());
   if (shared_bcache != nullptr) {
     bcache_ = shared_bcache;
   } else {
@@ -64,7 +64,7 @@ Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, 
   track_ws_ = cfg_.ws_interval > 0;
   policy_->set_pinned_probe([this](u64 vpn) { return as_.is_pinned_vpn(vpn); });
   policy_->set_speculative_probe([this](u64 vpn) { return is_speculative(vpn); },
-                                 [this] { return !speculative_.empty(); });
+                                 [this] { return speculative_ != 0; });
   as_.set_residency_observer(this);
   as_.set_reclaim_hook([this](u64 pages) { return reclaim(pages); });
   // Pages already resident when the pager attaches (pinned buffers mapped at
@@ -78,21 +78,78 @@ Pager::~Pager() {
   as_.set_reclaim_hook(nullptr);
 }
 
+u32 Pager::new_fault(sim::EventFn ready, Cycles start, u64 trace_id) {
+  if (free_faults_.empty()) {
+    faults_.emplace_back();
+    free_faults_.reserve(faults_.size());  // releases never reallocate
+    free_faults_.push_back(static_cast<u32>(faults_.size()));
+  }
+  const u32 h = free_faults_.back();
+  free_faults_.pop_back();
+  fault(h) = Fault{std::move(ready), start, trace_id};
+  return h;
+}
+
+u64 Pager::begin_fault(mem::PageState& ps, u64 vpn, sim::EventFn ready, Cycles start) {
+  const u64 fid = VMSLS_TRACE_NEW_ID(sim_.trace());
+  ps.fault = new_fault(std::move(ready), start, fid);
+  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
+  return fid;
+}
+
+void Pager::coalesce(mem::PageState& ps, u64 vpn, sim::EventFn ready, Cycles start) {
+  Fault& head = fault(ps.fault);  // deque growth keeps references valid
+  VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "coalesce", head.trace_id, vpn);
+  const u32 w = new_fault(std::move(ready), start, 0);
+  (head.last == 0 ? head.next : fault(head.last).next) = w;
+  head.last = w;
+}
+
+void Pager::run_chain(u32 handle) {
+  while (handle != 0) {
+    Fault& f = fault(handle);
+    sim::EventFn ready = std::move(f.ready);
+    const Cycles start = f.start;
+    const u32 next = f.next;
+    free_faults_.push_back(handle);
+    fault_stall_.record(sim_.now() - start);
+    ready();
+    handle = next;
+  }
+}
+
+void Pager::set_pending(mem::PageState& ps, bool on) {
+  if (!ps.set(mem::PageState::kPending, on)) return;
+  pending_ = on ? pending_ + 1 : pending_ - 1;
+  if (pool_) pool_->note_pending(on ? +1 : -1);
+}
+
+bool Pager::set_speculative(mem::PageState& ps, bool on) {
+  if (!ps.set(mem::PageState::kSpeculative, on)) return false;
+  speculative_ = on ? speculative_ + 1 : speculative_ - 1;
+  return true;
+}
+
 void Pager::on_map(u64 vpn, u64 frame) {
-  if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
+  mem::PageState& ps = page(vpn);
+  set_pending(ps, false);
   policy_->on_insert(vpn);
-  if (track_ws_) ws_last_ref_[vpn] = sim_.now();  // a fresh mapping is a reference
+  if (track_ws_) {  // a fresh mapping is a reference
+    ps.ws_last_ref = sim_.now();
+    ps.set(mem::PageState::kWsRef, true);
+  }
   if (pool_) pool_->note_map(*this, vpn, frame);
   note_activity();
 }
 
 void Pager::on_unmap(u64 vpn, bool dirty, u64 frame, u64 sharers_left) {
   policy_->on_remove(vpn);
-  if (track_ws_) ws_last_ref_.erase(vpn);
+  mem::PageState& ps = page(vpn);
+  ps.set(mem::PageState::kWsRef, false);
   // An external unmap (experiment-setup eviction) of a speculative page is
   // wasted work; the pager's own evictions settle the flag beforehand with
   // the accessed bit still readable.
-  if (speculative_.erase(vpn) > 0) prefetch_wasted_.add();
+  if (set_speculative(ps, false)) prefetch_wasted_.add();
   // Lifecycle fork — each unmap lands in exactly ONE bucket, whoever
   // initiated it (own eviction loop, pool global sweep, emergency reclaim,
   // experiment-setup evictions), so the buckets partition all eviction
@@ -125,7 +182,7 @@ void Pager::on_unmap(u64 vpn, bool dirty, u64 frame, u64 sharers_left) {
 }
 
 void Pager::on_cow(u64 vpn, u64 old_frame, u64 new_frame) {
-  if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
+  set_pending(page(vpn), false);
   // The page never left residency — own-policy tracking (vpn-keyed) and the
   // WS clock are untouched; only the pool's frame-keyed owner-set moves.
   if (pool_) pool_->note_cow(*this, vpn, old_frame, new_frame);
@@ -144,17 +201,20 @@ bool Pager::probe_accessed(u64 vpn) {
   // (The bit is a single hardware resource; without this the estimator
   // undercounts exactly when eviction sweeps run hottest.)
   if (!as_.page_table().test_and_clear_accessed(vpn << page_bits())) return false;
-  if (track_ws_) ws_last_ref_[vpn] = sim_.now();
+  mem::PageState& ps = page(vpn);
+  if (track_ws_) {
+    ps.ws_last_ref = sim_.now();
+    ps.set(mem::PageState::kWsRef, true);
+  }
   // A referenced readahead landing graduates to a real resident page: the
   // prediction was right.
-  if (speculative_.erase(vpn) > 0) prefetch_useful_.add();
+  if (set_speculative(ps, false)) prefetch_useful_.add();
   return true;
 }
 
 void Pager::settle_speculative(u64 vpn) {
-  auto it = speculative_.find(vpn);
-  if (it == speculative_.end()) return;
-  speculative_.erase(it);
+  if (speculative_ == 0) return;
+  if (!set_speculative(page(vpn), false)) return;
   // The accessed bit is the page's last word: set means the prefetch was
   // used (just never swept), clear means it truly was wrong-path.
   if (as_.page_table().test_and_clear_accessed(vpn << page_bits()))
@@ -198,13 +258,14 @@ u64 Pager::pin_quota() const noexcept {
   return budget > 1 ? budget - 1 : 1;
 }
 
-void Pager::ensure_frame_available(u64 trace_id, sim::EventFn then) {
+void Pager::ensure_frame_available(u64 vpn) {
   // Clean victims evict in a plain loop; a dirty victim suspends the loop
   // until its writeback completes on the device port (the callback arrives
   // on a fresh stack from the event loop, so eviction bursts of any size
   // are stack-safe).
   // Frames reserved by not-yet-mapped faults count against the budget, or
   // two in-flight faults would double-spend one freed frame.
+  const u64 trace_id = fault(page(vpn).fault).trace_id;
   if (pool_ != nullptr && cfg_.budget_mode == BudgetMode::kGlobal) {
     // Machine-wide budget: the pool's global sweep nominates victim
     // *frames*, which may be shared — eviction fans out one shootdown per
@@ -214,13 +275,9 @@ void Pager::ensure_frame_available(u64 trace_id, sim::EventFn then) {
     // on their own swap front end; this pager's fault merely waits for the
     // frame, resuming once the *last* of those writebacks lands.
     while (pool_->over_budget()) {
-      const auto victim = pool_->pick_victim();
-      if (!victim) break;
-      struct SwapWb {
-        Pager* owner;
-        u64 vpn;
-      };
-      std::vector<SwapWb> swap_wbs;
+      const FramePool::Victim* victim = pool_->pick_victim();
+      if (victim == nullptr) break;
+      swap_wbs_.clear();
       bool cross = false;
       for (const auto& [owner, svpn] : victim->sharers) {
         // Lifecycle must be read *before* the eviction invalidates the PTE.
@@ -233,32 +290,30 @@ void Pager::ensure_frame_available(u64 trace_id, sim::EventFn then) {
                   dirty ? " (dirty)" : " (clean)");
         if (owner != this) cross = true;
         owner->evict_resident(svpn);
-        if (dirty && (!vfp || !vfp->shared)) swap_wbs.push_back({owner, svpn});
+        if (dirty && (!vfp || !vfp->shared)) swap_wbs_.push_back({owner, svpn});
       }
       pool_->record_eviction(*this, cross, trace_id);
-      if (!swap_wbs.empty()) {
+      if (!swap_wbs_.empty()) {
         // Barrier over the sharers' writebacks: the loop resumes on a fresh
         // stack when the last one completes.
-        auto remaining = std::make_shared<u64>(swap_wbs.size());
-        auto resume = std::make_shared<sim::EventFn>(std::move(then));
-        for (const auto& wb : swap_wbs) {
+        fault(page(vpn).fault).wb_pending = swap_wbs_.size();
+        for (const SwapWb& wb : swap_wbs_) {
           wb.owner->writebacks_.add();
           const u64 wid = VMSLS_TRACE_NEW_ID(sim_.trace());
           wb.owner->sched_->write(wb.owner->swap_owner_, wb.vpn, SwapReqClass::kDemandWrite,
-                                  [this, trace_id, remaining, resume]() mutable {
-                                    if (--*remaining == 0)
-                                      ensure_frame_available(trace_id, std::move(*resume));
+                                  [this, vpn] {
+                                    if (--fault(page(vpn).fault).wb_pending == 0)
+                                      ensure_frame_available(vpn);
                                   },
                                   wid);
         }
         return;
       }
     }
-    then();
+    frame_secured(vpn);
     return;
   }
-  while (cfg_.frame_budget != 0 &&
-         as_.resident_pages() + pending_maps_.size() > cfg_.frame_budget) {
+  while (cfg_.frame_budget != 0 && as_.resident_pages() + pending_ > cfg_.frame_budget) {
     const auto victim = policy_->pick_victim();
     if (!victim) break;
     const bool dirty = page_dirty(*victim);
@@ -270,25 +325,19 @@ void Pager::ensure_frame_available(u64 trace_id, sim::EventFn then) {
       writebacks_.add();
       const u64 wid = VMSLS_TRACE_NEW_ID(sim_.trace());
       sched_->write(swap_owner_, *victim, SwapReqClass::kDemandWrite,
-                    [this, trace_id, then = std::move(then)]() mutable {
-                      ensure_frame_available(trace_id, std::move(then));
-                    },
-                    wid);
+                    [this, vpn] { ensure_frame_available(vpn); }, wid);
       return;
     }
   }
-  then();
+  frame_secured(vpn);
 }
 
-void Pager::complete_fault(u64 vpn, Cycles start, sim::EventFn& ready) {
-  InflightFault& entry = inflight_faults_[vpn];
-  const u64 fid = entry.trace_id;
-  auto waiters = std::move(entry.waiters);
-  inflight_faults_.erase(vpn);
-  fault_stall_.record(sim_.now() - start);
-  VMSLS_TRACE_END(sim_.trace(), trace_track_, "fault", fid, vpn);
-  ready();
-  for (auto& w : waiters) w();
+void Pager::complete_fault(u64 vpn) {
+  mem::PageState& ps = page(vpn);
+  const u32 head = ps.fault;
+  ps.fault = 0;
+  VMSLS_TRACE_END(sim_.trace(), trace_track_, "fault", fault(head).trace_id, vpn);
+  run_chain(head);
 }
 
 void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
@@ -300,7 +349,7 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
     // fault, not a spurious retry — it has its own service path.
     if (is_write) {
       if (const auto pte = as_.page_table().lookup(va); pte && !pte->writable) {
-        handle_cow_fault(va, vpn, start, std::move(ready));
+        handle_cow_fault(vpn, start, std::move(ready));
         return;
       }
     }
@@ -311,108 +360,101 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
     return;
   }
   ++faults_since_sweep_;
-  if (auto it = inflight_faults_.find(vpn); it != inflight_faults_.end()) {
+  mem::PageState& ps = page(vpn);
+  if (ps.fault != 0) {
     // A fault on this page is already securing a frame — possibly suspended
     // mid-eviction on an async dirty writeback — or mid swap-in; or a
     // prefetch read for the page is in flight. Coalesce before any budget
     // work: this fault consumes no frame of its own and must not issue a
     // second device read (the double swap-in race).
-    if (inflight_prefetch_.count(vpn) != 0) {
+    if (ps.has(mem::PageState::kPrefetch)) {
       // Late exactly once per prefetched page, however many faults pile
       // onto it — the accuracy ratio divides by prefetches issued.
-      if (it->second.waiters.empty()) prefetch_late_.add();
+      if (fault(ps.fault).last == 0) prefetch_late_.add();
       // If the prefetch read is still queued, it now blocks a real thread:
       // upgrade it to demand class so priority dispatch stops bypassing it.
       sched_->promote(swap_owner_, vpn);
     }
-    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "coalesce", it->second.trace_id, vpn);
-    it->second.waiters.push_back([this, ready = std::move(ready), start]() mutable {
-      fault_stall_.record(sim_.now() - start);
-      ready();
-    });
+    coalesce(ps, vpn, std::move(ready), start);
     return;
   }
+  // The vpn can already be pending: a prior fault's `ready` fired (ending
+  // its in-flight record) but the OS tail has not mapped the page yet. The
+  // reservation is then already counted — don't count it twice.
+  set_pending(ps, true);
   // One causal id per primary fault, threaded through frame reservation,
   // victim eviction, the swap queue, and the device transfer — so the
   // "fault" span decomposes exactly into "evict" + "queue" + "io".
-  const u64 fid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn, InflightFault{fid, {}});
-  // The vpn can already be pending: a prior fault's `ready` fired (erasing
-  // its inflight entry) but the OS tail has not mapped the page yet. The
-  // reservation is then already counted — don't count it twice.
-  if (pending_maps_.insert(vpn).second && pool_) pool_->note_pending(+1);
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
+  const u64 fid = begin_fault(ps, vpn, std::move(ready), start);
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "evict", fid, vpn);
-  ensure_frame_available(fid, [this, va, vpn, fid, ready = std::move(ready), start]() mutable {
-    VMSLS_TRACE_END(sim_.trace(), trace_track_, "evict", fid, vpn);
-    // A concurrent fault may have brought the page in already — don't pay
-    // (or serialize on) a second device read for a resident page.
-    if (!as_.is_mapped(va) && sched_->holds(swap_owner_, vpn)) {
-      swap_ins_.add();
-      // The demand read and its readahead enqueue atomically, so they
-      // dispatch as one clustered device operation (one access latency for
-      // the whole neighborhood) whenever the port is free — and otherwise
-      // merge at dispatch time with any queued same-cluster reads.
-      sched_->batched([this, vpn, fid, &ready, start] {
-        sched_->read(
-            swap_owner_, vpn, SwapReqClass::kDemandRead,
-            [this, vpn, ready = std::move(ready), start]() mutable {
-              complete_fault(vpn, start, ready);
-            },
-            fid);
-        issue_readahead(vpn);
-      });
-      return;
-    }
-    if (!as_.is_mapped(va)) {
-      if (as_.has_backing(vpn)) {
-        // A backing copy without a swap slot is fork-inherited: the parent
-        // evicted the page before forking, so the child holds the bytes but
-        // never paid them to a device — the fill is free.
-        inherited_fills_.add();
-      } else if (const auto fp = as_.file_page(vpn)) {
-        // Shared-file pages another process already holds resident resolve
-        // to that frame (map_page refs it) — no device read, no buffer-cache
-        // trip, just a page-table install.
-        if (fp->shared && as_.share_index() != nullptr &&
-            as_.share_index()->lookup(fp->file->id(), fp->block)) {
-          share_hits_.add();
-        } else {
-          // File lifecycle: a first-touch (or clean-dropped) file page
-          // lazy-loads through the buffer cache — free on a hit, a
-          // demand-class device read on a miss.
-          file_reads_.add();
-          bcache_->read(bcache_client_, fp->file->id(), fp->block,
-                        [this, vpn, ready = std::move(ready), start]() mutable {
-                          complete_fault(vpn, start, ready);
-                        },
-                        fid);
-          return;
-        }
-      } else {
-        zero_fills_.add();
-      }
-    }
-    complete_fault(vpn, start, ready);
-  });
+  ensure_frame_available(vpn);
 }
 
-void Pager::handle_cow_fault(VirtAddr va, u64 vpn, Cycles start, sim::EventFn ready) {
-  ++faults_since_sweep_;
-  if (auto it = inflight_faults_.find(vpn); it != inflight_faults_.end()) {
-    // Another fault on this page is already in flight (typically a second
-    // hardware thread hitting the same COW page): coalesce. The primary's
-    // cow_break resolves the permission for every waiter.
-    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "coalesce", it->second.trace_id, vpn);
-    it->second.waiters.push_back([this, ready = std::move(ready), start]() mutable {
-      fault_stall_.record(sim_.now() - start);
-      ready();
+void Pager::frame_secured(u64 vpn) {
+  const Fault& f = fault(page(vpn).fault);
+  const u64 fid = f.trace_id;
+  VMSLS_TRACE_END(sim_.trace(), trace_track_, "evict", fid, vpn);
+  if (f.cow) {
+    cow_frame_secured(vpn);
+    return;
+  }
+  const VirtAddr va = vpn << page_bits();
+  // A concurrent fault may have brought the page in already — don't pay
+  // (or serialize on) a second device read for a resident page.
+  if (!as_.is_mapped(va) && sched_->holds(swap_owner_, vpn)) {
+    swap_ins_.add();
+    // The demand read and its readahead enqueue atomically, so they
+    // dispatch as one clustered device operation (one access latency for
+    // the whole neighborhood) whenever the port is free — and otherwise
+    // merge at dispatch time with any queued same-cluster reads.
+    sched_->batched([this, vpn, fid] {
+      sched_->read(swap_owner_, vpn, SwapReqClass::kDemandRead,
+                   [this, vpn] { complete_fault(vpn); }, fid);
+      issue_readahead(vpn);
     });
     return;
   }
-  const u64 fid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn, InflightFault{fid, {}});
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
+  if (!as_.is_mapped(va)) {
+    if (as_.has_backing(vpn)) {
+      // A backing copy without a swap slot is fork-inherited: the parent
+      // evicted the page before forking, so the child holds the bytes but
+      // never paid them to a device — the fill is free.
+      inherited_fills_.add();
+    } else if (const auto fp = as_.file_page(vpn)) {
+      // Shared-file pages another process already holds resident resolve
+      // to that frame (map_page refs it) — no device read, no buffer-cache
+      // trip, just a page-table install.
+      if (fp->shared && as_.share_index() != nullptr &&
+          as_.share_index()->lookup(fp->file->id(), fp->block)) {
+        share_hits_.add();
+      } else {
+        // File lifecycle: a first-touch (or clean-dropped) file page
+        // lazy-loads through the buffer cache — free on a hit, a
+        // demand-class device read on a miss.
+        file_reads_.add();
+        bcache_->read(bcache_client_, fp->file->id(), fp->block,
+                      [this, vpn] { complete_fault(vpn); }, fid);
+        return;
+      }
+    } else {
+      zero_fills_.add();
+    }
+  }
+  complete_fault(vpn);
+}
+
+void Pager::handle_cow_fault(u64 vpn, Cycles start, sim::EventFn ready) {
+  ++faults_since_sweep_;
+  mem::PageState& ps = page(vpn);
+  if (ps.fault != 0) {
+    // Another fault on this page is already in flight (typically a second
+    // hardware thread hitting the same COW page): coalesce. The primary's
+    // cow_break resolves the permission for every waiter.
+    coalesce(ps, vpn, std::move(ready), start);
+    return;
+  }
+  const u64 fid = begin_fault(ps, vpn, std::move(ready), start);
+  const VirtAddr va = vpn << page_bits();
   const auto frame = as_.frame_of(vpn);
   require(frame.has_value(), [&] { return name_ + ": COW fault on a non-resident page"; });
   if (as_.frames().refcount(*frame) <= 1) {
@@ -420,7 +462,7 @@ void Pager::handle_cow_fault(VirtAddr va, u64 vpn, Cycles start, sim::EventFn re
     // re-enable write in place — no frame, no budget work, no copy traffic.
     process_.cow_break(va);
     cow_upgrades_.add();
-    complete_fault(vpn, start, ready);
+    complete_fault(vpn);
     return;
   }
   // The private copy needs a frame of its own: reserve it against the
@@ -428,36 +470,38 @@ void Pager::handle_cow_fault(VirtAddr va, u64 vpn, Cycles start, sim::EventFn re
   // global sweep must not nominate the very frame being split (the
   // owner-set pin probe protects it for every sharer), and the in-flight
   // write targets these exact bytes.
+  fault(ps.fault).cow = true;
   as_.pin(va);
-  if (pending_maps_.insert(vpn).second && pool_) pool_->note_pending(+1);
+  set_pending(ps, true);
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "evict", fid, vpn);
-  ensure_frame_available(fid, [this, va, vpn, fid, ready = std::move(ready), start]() mutable {
-    VMSLS_TRACE_END(sim_.trace(), trace_track_, "evict", fid, vpn);
-    const auto r = process_.cow_break(va);
-    as_.unpin(va);
-    if (!r.copied) {
-      // The last other sharer released the frame while this fault waited on
-      // eviction: cow_break upgraded in place and the reservation dies
-      // unclaimed (on_cow never fired, so clear it here).
-      if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
-      cow_upgrades_.add();
-      complete_fault(vpn, start, ready);
-      return;
-    }
-    cow_copies_.add();
-    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "cow_copy", fid, vpn);
-    if (bus_ != nullptr) {
-      // The page copy is real memory traffic: charge one page-sized write
-      // burst at the new frame before the store retries.
-      bus_->request(mem::BusRequest{as_.frames().frame_addr(r.frame),
-                                    static_cast<u32>(as_.page_bytes()), true,
-                                    [this, vpn, ready = std::move(ready), start]() mutable {
-                                      complete_fault(vpn, start, ready);
-                                    }});
-      return;
-    }
-    complete_fault(vpn, start, ready);
-  });
+  ensure_frame_available(vpn);
+}
+
+void Pager::cow_frame_secured(u64 vpn) {
+  const VirtAddr va = vpn << page_bits();
+  const auto r = process_.cow_break(va);
+  as_.unpin(va);
+  if (!r.copied) {
+    // The last other sharer released the frame while this fault waited on
+    // eviction: cow_break upgraded in place and the reservation dies
+    // unclaimed (on_cow never fired, so clear it here).
+    set_pending(page(vpn), false);
+    cow_upgrades_.add();
+    complete_fault(vpn);
+    return;
+  }
+  cow_copies_.add();
+  VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "cow_copy", fault(page(vpn).fault).trace_id,
+                      vpn);
+  if (bus_ != nullptr) {
+    // The page copy is real memory traffic: charge one page-sized write
+    // burst at the new frame before the store retries.
+    bus_->request(mem::BusRequest{as_.frames().frame_addr(r.frame),
+                                  static_cast<u32>(as_.page_bytes()), true,
+                                  [this, vpn] { complete_fault(vpn); }});
+    return;
+  }
+  complete_fault(vpn);
 }
 
 // --- swap-in readahead ----------------------------------------------------
@@ -474,29 +518,30 @@ bool Pager::prefetch_headroom() const {
     const u64 budget = pool_->budget();
     return budget == 0 || pool_->resident_pages() + pool_->pending_pages() < budget + slack;
   }
-  return cfg_.frame_budget == 0 ||
-         as_.resident_pages() + pending_maps_.size() < cfg_.frame_budget + slack;
+  return cfg_.frame_budget == 0 || as_.resident_pages() + pending_ < cfg_.frame_budget + slack;
 }
 
 void Pager::issue_readahead(u64 demand_vpn) {
   if (cfg_.swap.readahead == 0) return;
-  for (const u64 vpn : sched_->neighbors(swap_owner_, demand_vpn, cfg_.swap.readahead)) {
-    if (as_.is_mapped(vpn << page_bits())) continue;
-    if (inflight_faults_.count(vpn) != 0) continue;
-    if (!prefetch_headroom()) break;  // deeper neighbors are no cheaper
+  sched_->for_each_neighbor(swap_owner_, demand_vpn, cfg_.swap.readahead, [this](u64 vpn) {
+    if (as_.is_mapped(vpn << page_bits())) return true;
+    if (page(vpn).fault != 0) return true;
+    if (!prefetch_headroom()) return false;  // deeper neighbors are no cheaper
     start_prefetch(vpn);
-  }
+    return true;
+  });
 }
 
 void Pager::start_prefetch(u64 vpn) {
-  // A prefetch is a synthetic fault: it reserves its frame through
-  // pending_maps_ (so concurrent demand faults cannot double-spend it) and
-  // registers in inflight_faults_ (so a demand fault on the page coalesces
-  // onto this read instead of issuing a second one).
+  // A prefetch is a synthetic fault: it reserves its frame through the
+  // pending bit (so concurrent demand faults cannot double-spend it) and
+  // holds the page's in-flight record (so a demand fault on the page
+  // coalesces onto this read instead of issuing a second one).
   const u64 pid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn, InflightFault{pid, {}});
-  inflight_prefetch_.insert(vpn);
-  if (pending_maps_.insert(vpn).second && pool_) pool_->note_pending(+1);
+  mem::PageState& ps = page(vpn);
+  ps.fault = new_fault(nullptr, 0, pid);
+  ps.set(mem::PageState::kPrefetch, true);
+  set_pending(ps, true);
   prefetches_.add();
   log_debug(name_, "prefetch vpn=0x", std::hex, vpn);
   VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "prefetch", pid, vpn);
@@ -506,21 +551,24 @@ void Pager::start_prefetch(u64 vpn) {
 }
 
 void Pager::finish_prefetch(u64 vpn) {
-  inflight_prefetch_.erase(vpn);
-  auto waiters = std::move(inflight_faults_[vpn].waiters);
-  inflight_faults_.erase(vpn);
+  mem::PageState& ps = page(vpn);
+  ps.set(mem::PageState::kPrefetch, false);
+  const u32 head = ps.fault;
+  ps.fault = 0;
+  const u32 waiters = fault(head).next;
+  free_faults_.push_back(head);
   // Land resident-clean: map_page installs the PTE with accessed and dirty
   // both clear and fills the frame from the backing store — on_map clears
   // the pending reservation and enters the page into policy tracking.
   if (!as_.is_mapped(vpn << page_bits())) process_.map_in(vpn << page_bits());
-  if (waiters.empty()) {
+  if (waiters == 0) {
     // Unclaimed so far: speculative until the first observed reference, and
     // first in line for reclaim should the prediction miss.
-    speculative_.insert(vpn);
+    set_speculative(ps, true);
   } else {
     // A demand fault arrived mid-read (counted prefetch_late at coalesce
     // time): the page is demanded, not speculative.
-    for (auto& w : waiters) w();
+    run_chain(waiters);
   }
 }
 
@@ -568,8 +616,9 @@ void Pager::ws_sweep() {
   // age out pages unreferenced for longer than the window.
   as_.for_each_resident([this](u64 vpn) { probe_accessed(vpn); });
   u64 ws = 0;
-  for (const auto& [vpn, last] : ws_last_ref_)
-    if (sim_.now() - last <= window) ++ws;
+  as_.page_states().for_each_live([&](u64, const mem::PageState& ps) {
+    if (ps.has(mem::PageState::kWsRef) && sim_.now() - ps.ws_last_ref <= window) ++ws;
+  });
   ws_pages_ = ws;
   // Fault-frequency correction: each fault in the window is a page that
   // wanted residency the references could not show (see ws_demand_pages).

@@ -40,12 +40,17 @@
 //
 // Both services are activity-gated: they re-arm on faults and mappings and
 // disarm when the process quiesces, so the event queue still drains.
+//
+// Per-page pager state (in-flight fault, pending reservation, prefetch and
+// speculative bits, the working-set clock) lives in the address space's
+// PageState records; an in-flight fault's continuation and its coalesced
+// waiters live in pooled Fault records, so the fault path's closures carry
+// only (this, vpn) and steady-state faulting allocates nothing.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/address_space.hpp"
@@ -182,7 +187,7 @@ class Pager final : public mem::ResidencyObserver {
   u64 frame_budget() const noexcept { return cfg_.frame_budget; }
   void set_frame_budget(u64 budget) noexcept { cfg_.frame_budget = budget; }
   u64 resident_pages() const noexcept { return as_.resident_pages(); }
-  u64 pending_pages() const noexcept { return static_cast<u64>(pending_maps_.size()); }
+  u64 pending_pages() const noexcept { return pending_; }
   bool page_dirty(u64 vpn) const;
   /// Test-and-clear of the accessed bit (pool global sweep + own policy);
   /// observed references feed the working-set clock and retire the page's
@@ -194,11 +199,14 @@ class Pager final : public mem::ResidencyObserver {
 
   /// True while the page is an unreferenced readahead landing — the
   /// replacement policies' reclaim-first probe.
-  bool is_speculative(u64 vpn) const { return speculative_.count(vpn) != 0; }
+  bool is_speculative(u64 vpn) const {
+    const mem::PageState* s = as_.page_states().find(vpn);
+    return s != nullptr && s->has(mem::PageState::kSpeculative);
+  }
 
   /// Whether any page is currently speculative — the policies' cheap
   /// emptiness hint, letting them skip the reclaim-first pre-scan.
-  bool any_speculative() const noexcept { return !speculative_.empty(); }
+  bool any_speculative() const noexcept { return speculative_ != 0; }
 
   /// Latest working-set estimate (pages referenced within the window);
   /// 0 until the first sweep completes.
@@ -267,15 +275,48 @@ class Pager final : public mem::ResidencyObserver {
  private:
   friend class FramePool;  // attach/detach set pool_
 
-  /// `trace_id` is the asking fault's causal id: it labels pool eviction
+  /// One in-flight fault or prefetch on a page (the primary record, whose
+  /// handle is the page's PageState::fault), or one fault coalesced onto it
+  /// (a waiter, chained from the primary in arrival order). Pooled in
+  /// faults_ and recycled, so parking a continuation allocates nothing.
+  struct Fault {
+    sim::EventFn ready;   // the faulting access's continuation; empty for a prefetch
+    Cycles start = 0;     // when the fault was taken (fault_stall)
+    u64 trace_id = 0;     // primary: the fault's causal id
+    u64 wb_pending = 0;   // primary: global-mode sharer writebacks still in flight
+    u32 next = 0;         // next waiter's handle; 0 = end of chain
+    u32 last = 0;         // primary: last waiter's handle; 0 = no waiters
+    bool cow = false;     // primary: a COW fault (frame_secured copies)
+  };
+
+  mem::PageState& page(u64 vpn) { return as_.page_states().at(vpn); }
+  Fault& fault(u32 handle) { return faults_[handle - 1]; }
+  u32 new_fault(sim::EventFn ready, Cycles start, u64 trace_id);
+  /// Makes the page's primary fault record; returns its causal trace id.
+  u64 begin_fault(mem::PageState& ps, u64 vpn, sim::EventFn ready, Cycles start);
+  /// Appends a fault to the chain of the page's in-flight primary.
+  void coalesce(mem::PageState& ps, u64 vpn, sim::EventFn ready, Cycles start);
+  /// Releases each record of a chain, then records its stall and runs it.
+  void run_chain(u32 handle);
+  void set_pending(mem::PageState& ps, bool on);
+  bool set_speculative(mem::PageState& ps, bool on);
+
+  /// Makes room under the budget for the in-flight fault on `vpn`, then
+  /// calls frame_secured(vpn). The fault's causal id labels pool eviction
   /// instants, while each dirty writeback issued here gets a fresh id of
   /// its own (a writeback is a distinct device request with its own
   /// queue/io spans).
-  void ensure_frame_available(u64 trace_id, sim::EventFn then);
+  void ensure_frame_available(u64 vpn);
+  /// The fault on `vpn` holds its frame: read the contents in (demand
+  /// fault) or copy the shared frame (COW fault).
+  void frame_secured(u64 vpn);
   /// Write fault on a resident read-only page: budget work + the copy's bus
   /// charge for a shared frame, a free in-place upgrade for a sole mapping.
-  void handle_cow_fault(VirtAddr va, u64 vpn, Cycles start, sim::EventFn ready);
-  void complete_fault(u64 vpn, Cycles start, sim::EventFn& ready);
+  void handle_cow_fault(u64 vpn, Cycles start, sim::EventFn ready);
+  void cow_frame_secured(u64 vpn);
+  /// Ends the in-flight fault on `vpn`: its continuation runs, then every
+  /// coalesced waiter's.
+  void complete_fault(u64 vpn);
   /// Issues prefetch-class reads for the demand swap-in's slot neighbors
   /// that fit under free budget headroom.
   void issue_readahead(u64 demand_vpn);
@@ -312,35 +353,35 @@ class Pager final : public mem::ResidencyObserver {
   rt::OsModel* os_ = nullptr;
   Cycles daemon_tick_cost_ = 0;
   unsigned page_bits_ = 0;
-  /// ws_last_ref_ is only ever *read* by the WS estimator, which only runs
-  /// when ws_interval > 0 — without it the per-map/per-probe hash writes
-  /// were dead weight on the fault path.
+  /// PageState::ws_last_ref is only ever *read* by the WS estimator, which
+  /// only runs when ws_interval > 0 — without it the per-map/per-probe
+  /// writes are skipped.
   bool track_ws_ = false;
 
-  /// Faults coalescing on a page whose frame is being secured or whose
-  /// contents are mid-read: one reservation + one device read serve all
-  /// waiters (the kernel's wait-on-page-lock behavior). An entry exists
-  /// from the moment the first fault passes the residency check until its
-  /// `ready` fires. In-flight prefetches register here too, so demand
-  /// faults coalesce onto them instead of double-reading the device.
-  /// `trace_id` is the primary fault's (or prefetch's) causal id, shared by
-  /// the coalesce instants and the span end.
-  struct InflightFault {
-    u64 trace_id = 0;
-    std::vector<sim::EventFn> waiters;
+  /// Fault records: a deque so records stay put as it grows to the peak
+  /// number in flight; free_faults_ recycles their handles. An in-flight
+  /// fault coalesces every later fault on its page from the moment it
+  /// passes the residency check until its `ready` fires: one frame
+  /// reservation and one device read serve all waiters (the kernel's
+  /// wait-on-page-lock behavior). In-flight prefetches are faults too, so
+  /// demand faults coalesce onto them instead of double-reading the device.
+  std::deque<Fault> faults_;
+  std::vector<u32> free_faults_;
+  /// Pages a fault has reserved a frame for but not yet mapped
+  /// (PageState::kPending). Counted against the budget so concurrent faults
+  /// cannot double-spend one freed frame; the bit clears when the page maps.
+  u64 pending_ = 0;
+  /// Resident readahead landings not yet referenced (kSpeculative).
+  u64 speculative_ = 0;
+  /// Global-mode eviction scratch: the dirty swap-lifecycle sharers of the
+  /// victim frame being evicted, whose writebacks the fault waits on.
+  struct SwapWb {
+    Pager* owner;
+    u64 vpn;
   };
-  std::unordered_map<u64, InflightFault> inflight_faults_;
-  /// Pages a fault has reserved a frame for but not yet mapped. Counted
-  /// against the budget so concurrent faults cannot double-spend one freed
-  /// frame; entries clear when the page maps (on_map).
-  std::unordered_set<u64> pending_maps_;
-  /// In-flight prefetch reads (subset of inflight_faults_ keys).
-  std::unordered_set<u64> inflight_prefetch_;
-  /// Resident readahead landings not yet referenced (reclaimed first).
-  std::unordered_set<u64> speculative_;
+  std::vector<SwapWb> swap_wbs_;
 
   // --- working-set estimator state ---
-  std::unordered_map<u64, Cycles> ws_last_ref_;  // vpn -> last observed reference
   u64 ws_pages_ = 0;
   u64 ws_demand_ = 0;
   u64 faults_since_sweep_ = 0;

@@ -1,11 +1,11 @@
 #include "mem/paging/replacement.hpp"
 
 #include <algorithm>
-#include <list>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
+
+#include "util/directory.hpp"
 
 namespace vmsls::paging {
 
@@ -32,46 +32,59 @@ namespace {
 /// Second-chance clock: resident pages form a ring; the hand sweeps,
 /// clearing accessed bits, and evicts the first page found unreferenced.
 ///
-/// The ring is a std::list with an unordered_map from key to its node, so
-/// insert and remove are O(1). The fault path calls both once per eviction
-/// (insert the new page, remove the victim) with the ring sized at the full
-/// frame budget, where the previous contiguous ring paid an O(budget)
-/// memmove per call — the single hottest line in the clean-fault profile.
-/// Nomination order is identical to the contiguous ring: the same keys in
-/// the same circular sequence, the hand parked on the same element.
+/// The ring is a circular doubly-linked list threaded through a node
+/// vector (freed nodes are recycled), and a Directory maps each key to its
+/// node, so insert and remove are O(1) with no hashing and, once the ring
+/// has reached its peak size, no allocation. Keys are page or frame
+/// numbers, which the directory stores densely. Nomination order is the
+/// ring's circular order from the hand.
 class ClockPolicy final : public ReplacementPolicy {
  public:
   explicit ClockPolicy(AccessedProbe probe) : probe_(std::move(probe)) {}
 
   const char* name() const noexcept override { return "clock"; }
-  u64 tracked_pages() const noexcept override { return ring_.size(); }
+  u64 tracked_pages() const noexcept override { return size_; }
 
   void on_insert(u64 key) override {
+    u32 n;
+    if (!free_.empty()) {
+      n = free_.back();
+      free_.pop_back();
+    } else {
+      n = static_cast<u32>(nodes_.size());
+      nodes_.emplace_back();
+    }
+    nodes_[n].key = key;
+    pos_.at(key) = n + 1;
     // New pages enter just behind the hand: they get a full sweep before
     // first consideration. (Into an empty ring the new page IS the hand.)
-    if (ring_.empty()) {
-      pos_[key] = ring_.insert(ring_.end(), key);
-      hand_ = ring_.begin();
+    if (size_++ == 0) {
+      nodes_[n].prev = nodes_[n].next = n;
+      hand_ = n;
     } else {
-      pos_[key] = ring_.insert(hand_, key);
+      const u32 before = nodes_[hand_].prev;
+      nodes_[n].prev = before;
+      nodes_[n].next = hand_;
+      nodes_[before].next = n;
+      nodes_[hand_].prev = n;
     }
   }
 
   void on_remove(u64 key) override {
-    auto it = pos_.find(key);
-    if (it == pos_.end()) return;
-    if (it->second == hand_) {
-      // The page the hand nominated: the hand moves on to its successor.
-      hand_ = ring_.erase(it->second);
-      if (hand_ == ring_.end()) hand_ = ring_.begin();
-    } else {
-      ring_.erase(it->second);
-    }
-    pos_.erase(it);
+    u32* slot = pos_.find(key);
+    if (slot == nullptr || *slot == 0) return;
+    const u32 n = *slot - 1;
+    *slot = 0;
+    // The page the hand nominated: the hand moves on to its successor.
+    if (n == hand_) hand_ = nodes_[n].next;
+    nodes_[nodes_[n].prev].next = nodes_[n].next;
+    nodes_[nodes_[n].next].prev = nodes_[n].prev;
+    free_.push_back(n);
+    --size_;
   }
 
   std::optional<u64> pick_victim() override {
-    if (ring_.empty()) return std::nullopt;
+    if (size_ == 0) return std::nullopt;
     // Wrong-path prefetches go first: a speculative page is reclaimed
     // before the hand disturbs anyone else's accessed bits — but only if
     // its own bit is still clear. Probing a *referenced* landing graduates
@@ -80,37 +93,45 @@ class ClockPolicy final : public ReplacementPolicy {
     // The owner's emptiness hint skips the whole scan when nothing is
     // speculative — the common case whenever readahead is off.
     if (maybe_speculative()) {
-      auto it = hand_;
-      for (u64 step = 0; step < ring_.size(); ++step) {
-        const u64 key = *it;
+      u32 it = hand_;
+      for (u64 step = 0; step < size_; ++step) {
+        const u64 key = nodes_[it].key;
         if (is_speculative(key) && !is_pinned(key) && !probe_(key)) return key;
-        if (++it == ring_.end()) it = ring_.begin();
+        it = nodes_[it].next;
       }
     }
     // At most two sweeps: the first clears every accessed bit, the second
     // must find a victim. Pinned pages behave as permanently referenced
     // (their accessed bits are left alone).
-    for (u64 step = 0; step < 2 * ring_.size(); ++step) {
-      const u64 key = *hand_;
+    for (u64 step = 0; step < 2 * size_; ++step) {
+      const u64 key = nodes_[hand_].key;
       if (!is_pinned(key) && !probe_(key)) return key;
-      if (++hand_ == ring_.end()) hand_ = ring_.begin();
+      hand_ = nodes_[hand_].next;
     }
     // Everything stayed referenced: take the first unpinned page at the
     // hand; only pins can make victim selection fail entirely.
-    auto it = hand_;
-    for (u64 step = 0; step < ring_.size(); ++step) {
-      const u64 key = *it;
+    u32 it = hand_;
+    for (u64 step = 0; step < size_; ++step) {
+      const u64 key = nodes_[it].key;
       if (!is_pinned(key)) return key;
-      if (++it == ring_.end()) it = ring_.begin();
+      it = nodes_[it].next;
     }
     return std::nullopt;
   }
 
  private:
+  struct Node {
+    u64 key = 0;
+    u32 prev = 0;
+    u32 next = 0;
+  };
+
   AccessedProbe probe_;
-  std::list<u64> ring_;
-  std::list<u64>::iterator hand_ = ring_.end();
-  std::unordered_map<u64, std::list<u64>::iterator> pos_;
+  std::vector<Node> nodes_;
+  std::vector<u32> free_;  // recycled node indices
+  Directory<u32> pos_;     // key -> node index + 1; 0 = not tracked
+  u32 hand_ = 0;
+  u64 size_ = 0;
 };
 
 /// Aging LRU approximation: an 8-bit reference history per page, shifted on

@@ -1,6 +1,6 @@
 #include "mem/paging/swap_device.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 #include <utility>
 
 namespace vmsls::paging {
@@ -24,7 +24,6 @@ SwapDevice::SwapDevice(sim::Simulator& sim, const SwapConfig& cfg, u64 page_byte
       bytes_(sim.stats().counter(name_ + ".bytes")) {
   require(cfg.bytes_per_cycle > 0, "swap device needs nonzero bandwidth");
   require(page_bytes > 0, "swap device needs a page size");
-  trace_track_ = sim_.trace().track(name_);
 }
 
 void SwapDevice::issue(Cycles latency, u64 bytes, sim::EventFn done) {
@@ -35,46 +34,14 @@ void SwapDevice::issue(Cycles latency, u64 bytes, sim::EventFn done) {
   sim_.schedule_at(port_free_, std::move(done));
 }
 
-void SwapDevice::write_page(u64 vpn, sim::EventFn done) {
-  note_swapped(vpn);
+void SwapDevice::write_page(sim::EventFn done) {
   writes_.add();
   issue(cfg_.write_latency, page_bytes_, std::move(done));
 }
 
-void SwapDevice::read_page(u64 vpn, sim::EventFn done) {
-  if (!holds(vpn))
-    throw std::logic_error(name_ + ": swap-in of page not held by the device");
-  reads_.add();
-  issue(cfg_.read_latency, page_bytes_, [this, vpn, done = std::move(done)]() mutable {
-    slots_.erase(vpn);
-    VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
-                        static_cast<double>(slots_.size()));
-    done();
-  });
-}
-
-void SwapDevice::read_pages(std::vector<u64> vpns, sim::EventFn done) {
-  for (const u64 vpn : vpns)
-    if (!holds(vpn))
-      throw std::logic_error(name_ + ": clustered swap-in of page not held by the device");
-  reads_.add(vpns.size());
-  const u64 bytes = vpns.size() * page_bytes_;  // before the capture moves vpns
-  issue(cfg_.read_latency, bytes,
-        [this, vpns = std::move(vpns), done = std::move(done)]() mutable {
-          for (const u64 vpn : vpns) slots_.erase(vpn);
-          VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
-                              static_cast<double>(slots_.size()));
-          done();
-        });
-}
-
-void SwapDevice::note_swapped(u64 vpn) {
-  if (slots_.insert(vpn).second && slots_.size() > cfg_.slot_limit)
-    throw std::runtime_error(name_ + ": swap device out of slots (" +
-                             std::to_string(slots_.size()) + " allocated, limit " +
-                             std::to_string(cfg_.slot_limit) + ")");
-  VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
-                      static_cast<double>(slots_.size()));
+void SwapDevice::read_pages(u64 pages, sim::EventFn done) {
+  reads_.add(pages);
+  issue(cfg_.read_latency, pages * page_bytes_, std::move(done));
 }
 
 }  // namespace vmsls::paging

@@ -3,22 +3,18 @@
 // Models a single-ported block device (SD/flash-class on a Zynq board):
 // each page-sized transfer pays a fixed access latency plus bytes/bandwidth,
 // and transfers serialize on the device port — concurrent fault storms queue
-// here exactly like walker misses queue on the memory bus. The device tracks
-// *which* pages it holds (slot bookkeeping) and charges time; page *bytes*
-// stay in the AddressSpace backing store, which already plays the role of
-// swap-file contents for the functional model.
+// here exactly like walker misses queue on the memory bus. The device only
+// charges time; page *bytes* stay in the AddressSpace backing store, which
+// plays the role of swap-file contents for the functional model.
 //
-// Request *scheduling* — the queue, dispatch policy, slot-number geometry,
-// and readahead — lives one layer up in SwapScheduler (swap_scheduler.hpp):
-// the scheduler hands this device one transfer at a time, so the port model
-// here stays the raw timing primitive. Pages are opaque 64-bit keys; a
-// private device tracks raw virtual page numbers while a shared device
-// tracks (owner, vpn) keys packed by its scheduler.
+// Request *scheduling* — the queue, dispatch policy, slot bookkeeping and
+// geometry, and readahead — lives one layer up in SwapScheduler
+// (swap_scheduler.hpp), which keeps each page's slot in its PageState
+// record and hands this device one transfer at a time, so the port model
+// here stays the raw timing primitive.
 #pragma once
 
 #include <string>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -72,39 +68,21 @@ class SwapDevice {
   const SwapConfig& config() const noexcept { return cfg_; }
   const std::string& name() const noexcept { return name_; }
 
-  /// True when the device holds a copy of the page (slot allocated).
-  bool holds(u64 vpn) const { return slots_.count(vpn) != 0; }
-  u64 slots_in_use() const noexcept { return slots_.size(); }
-
   /// True while a transfer occupies the device port. Background cleaning
   /// (the pageout daemon) yields to demand traffic by checking this —
   /// proactive writes must not delay the swap-ins faults are stalled on.
   bool busy() const noexcept { return port_free_ > sim_.now(); }
 
-  /// Timed page write (swap-out). Allocates a slot for `vpn`; `done` fires
-  /// when the transfer completes on the device port. Completions are
-  /// sim::EventFn — move-only, no steady-state allocation on the fault path
-  /// (the PR 2 engine contract).
-  void write_page(u64 vpn, sim::EventFn done);
+  /// Timed page write (swap-out); `done` fires when the transfer completes
+  /// on the device port. Completions are sim::EventFn — move-only, no
+  /// steady-state allocation on the fault path.
+  void write_page(sim::EventFn done);
 
-  /// Timed page read (swap-in). Requires holds(vpn); the slot is freed when
-  /// the transfer completes — a later eviction of the page re-writes it —
-  /// so slot occupancy tracks pages that are out, not pages that ever were.
-  void read_page(u64 vpn, sim::EventFn done);
-
-  /// Timed clustered read: all pages stream in ONE device operation — one
+  /// Timed clustered read of `pages` pages in ONE device operation — one
   /// access latency, then bytes/bandwidth for the whole run. This is what
   /// makes swap-in readahead pay: the scheduler merges adjacent-slot reads
-  /// so a cluster costs little more than its demand page alone. Every page
-  /// must be held; all slots free at the shared completion instant.
-  /// Takes the vpn vector by value: the device's completion owns it (one
-  /// move from the caller to the wire, no copies on the fault path).
-  void read_pages(std::vector<u64> vpns, sim::EventFn done);
-
-  /// Slot bookkeeping without device time: pages evicted "by fiat" during
-  /// experiment setup land in swap instantly, so later faults on them pay
-  /// the swap-in cost.
-  void note_swapped(u64 vpn);
+  /// so a cluster costs little more than its demand page alone.
+  void read_pages(u64 pages, sim::EventFn done);
 
   u64 reads() const noexcept { return reads_.value(); }
   u64 writes() const noexcept { return writes_.value(); }
@@ -118,8 +96,6 @@ class SwapDevice {
   SwapConfig cfg_;
   u64 page_bytes_;
   std::string name_;
-  sim::TraceTrack trace_track_ = 0;
-  std::unordered_set<u64> slots_;
   Cycles port_free_ = 0;
 
   Counter& reads_;

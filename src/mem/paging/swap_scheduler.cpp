@@ -46,7 +46,7 @@ SwapScheduler::SwapScheduler(sim::Simulator& sim, const SwapConfig& cfg, u64 pag
   trace_track_ = sim_.trace().track(name_);
 }
 
-unsigned SwapScheduler::register_owner(const std::string& owner_name) {
+unsigned SwapScheduler::register_owner(const std::string& owner_name, mem::PageStates* pages) {
   require(owners_.size() < (1u << 16), "swap scheduler owner-id space exhausted");
   Owner o;
   o.name = owner_name;
@@ -60,6 +60,11 @@ unsigned SwapScheduler::register_owner(const std::string& owner_name) {
   o.reads = (&reads == &sim_.stats().counter(name_ + ".reads")) ? nullptr : &reads;
   o.writes = (&writes == &sim_.stats().counter(name_ + ".writes")) ? nullptr : &writes;
   o.queue_wait = (&wait == &queue_wait_) ? nullptr : &wait;
+  if (pages == nullptr) {
+    own_pages_.push_back(std::make_unique<mem::PageStates>());
+    pages = own_pages_.back().get();
+  }
+  o.pages = pages;
   owners_.push_back(std::move(o));
   return static_cast<unsigned>(owners_.size() - 1);
 }
@@ -72,57 +77,82 @@ u64 SwapScheduler::pack(unsigned owner, u64 vpn) const {
 }
 
 bool SwapScheduler::holds(unsigned owner, u64 vpn) const {
-  return device_.holds((static_cast<u64>(owner) << kOwnerShift) | vpn);
+  const mem::PageState* s = owners_[owner].pages->find(vpn);
+  return s != nullptr && s->holds_slot();
 }
 
-void SwapScheduler::alloc_slot(unsigned owner, u64 vpn) {
-  const u64 key = pack(owner, vpn);
-  if (slot_of_.count(key) != 0) return;  // re-note of a held page
-  const u64 cluster_key = pack(owner, vpn / cfg_.cluster_pages);
+void SwapScheduler::trace_slots() {
+  VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
+                      static_cast<double>(slots_in_use_));
+}
+
+void SwapScheduler::alloc_slot(unsigned owner, u64 vpn, mem::PageState& page) {
+  const u64 cp = cfg_.cluster_pages;
+  const u64 leader_vpn = vpn - vpn % cp;
+  mem::PageState& leader = owners_[owner].pages->at(leader_vpn);
   u64 region;
-  if (auto it = region_of_cluster_.find(cluster_key); it != region_of_cluster_.end()) {
-    region = it->second;
-  } else if (!free_regions_.empty()) {
-    region = *free_regions_.begin();
-    free_regions_.erase(free_regions_.begin());
-    region_of_cluster_.emplace(cluster_key, region);
-    cluster_of_region_.emplace(region, cluster_key);
+  if (leader.swap_region != 0) {
+    region = leader.swap_region - 1;
   } else {
-    region = next_region_++;
-    region_of_cluster_.emplace(cluster_key, region);
-    cluster_of_region_.emplace(region, cluster_key);
+    if (!free_regions_.empty()) {
+      region = free_regions_.top();
+      free_regions_.pop();
+    } else {
+      region = region_pop_.size();
+      require((region + 1) * cp < mem::PageState::kNoSlot,
+              [&] { return name_ + ": swap slot numbers exceed 32 bits"; });
+      region_pop_.push_back(0);
+      region_leader_.push_back(kNoPage);
+      page_at_.resize((region + 1) * cp, kNoPage);
+    }
+    leader.swap_region = static_cast<u32>(region + 1);
+    region_leader_[region] = pack(owner, leader_vpn);
   }
-  const u64 slot = region * cfg_.cluster_pages + vpn % cfg_.cluster_pages;
-  slot_of_.emplace(key, slot);
-  page_at_.emplace(slot, key);
+  const u64 slot = region * cp + vpn % cp;
+  page.swap_slot = static_cast<u32>(slot);
+  page_at_[slot] = pack(owner, vpn);
   ++region_pop_[region];
+  ++slots_in_use_;
 }
 
-void SwapScheduler::free_slot(u64 key) {
-  auto it = slot_of_.find(key);
-  if (it == slot_of_.end()) return;
-  const u64 slot = it->second;
+void SwapScheduler::free_slot(unsigned owner, u64 vpn) {
+  mem::PageState* s = owners_[owner].pages->find(vpn);
+  if (s == nullptr || !s->holds_slot()) return;
+  const u64 slot = s->swap_slot;
   const u64 region = slot / cfg_.cluster_pages;
-  slot_of_.erase(it);
-  page_at_.erase(slot);
+  s->swap_slot = mem::PageState::kNoSlot;
+  page_at_[slot] = kNoPage;
+  --slots_in_use_;
   if (--region_pop_[region] == 0) {
-    region_pop_.erase(region);
-    const u64 cluster_key = cluster_of_region_.at(region);
-    cluster_of_region_.erase(region);
-    region_of_cluster_.erase(cluster_key);
-    free_regions_.insert(region);
+    const u64 leader = region_leader_[region];
+    owners_[leader >> kOwnerShift].pages->find(leader & kVpnMask)->swap_region = 0;
+    region_leader_[region] = kNoPage;
+    free_regions_.push(region);
   }
 }
 
 void SwapScheduler::note_swapped(unsigned owner, u64 vpn) {
-  const u64 key = pack(owner, vpn);
-  if (!device_.holds(key) && device_.slots_in_use() >= cfg_.slot_limit)
-    throw std::runtime_error(name_ + ": out of swap slots (" +
-                             std::to_string(device_.slots_in_use()) + "/" +
-                             std::to_string(cfg_.slot_limit) + " in use) on swap-out from '" +
-                             owners_.at(owner).name + "'");
-  alloc_slot(owner, vpn);
-  device_.note_swapped(key);
+  pack(owner, vpn);  // validates the owner and the vpn
+  mem::PageState& s = owners_[owner].pages->at(vpn);
+  if (!s.holds_slot()) {
+    if (slots_in_use_ >= cfg_.slot_limit)
+      throw std::runtime_error(name_ + ": out of swap slots (" + std::to_string(slots_in_use_) +
+                               "/" + std::to_string(cfg_.slot_limit) +
+                               " in use) on swap-out from '" + owners_[owner].name + "'");
+    alloc_slot(owner, vpn, s);
+  }
+  trace_slots();
+}
+
+void SwapScheduler::enqueue(Request r, u64 vpn) {
+  r.enqueued = sim_.now();
+  queue_depth_.record(queue_.size());
+  const u64 trace_id = r.trace_id;
+  queue_.push_back(std::move(r));
+  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "queue", trace_id, vpn);
+  VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "queue_depth",
+                      static_cast<double>(queue_.size()));
+  pump();
 }
 
 void SwapScheduler::read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done,
@@ -130,23 +160,11 @@ void SwapScheduler::read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn
   require(cls == SwapReqClass::kDemandRead || cls == SwapReqClass::kPrefetchRead,
           [&] { return name_ + ": reads must be demand or prefetch class"; });
   const u64 key = pack(owner, vpn);
-  if (!device_.holds(key))
-    throw std::logic_error(name_ + ": swap-in of page not held for '" + owners_.at(owner).name +
+  const mem::PageState* s = owners_[owner].pages->find(vpn);
+  if (s == nullptr || !s->holds_slot())
+    throw std::logic_error(name_ + ": swap-in of page not held for '" + owners_[owner].name +
                            "'");
-  Request r;
-  r.owner = owner;
-  r.key = key;
-  r.slot = slot_of_.at(key);
-  r.cls = cls;
-  r.enqueued = sim_.now();
-  r.trace_id = trace_id;
-  r.done = std::move(done);
-  queue_depth_.record(queue_.size());
-  queue_.push_back(std::move(r));
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "queue", trace_id, vpn);
-  VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "queue_depth",
-                      static_cast<double>(queue_.size()));
-  pump();
+  enqueue(Request{owner, key, s->swap_slot, cls, 0, trace_id, std::move(done)}, vpn);
 }
 
 void SwapScheduler::write(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done,
@@ -154,20 +172,8 @@ void SwapScheduler::write(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventF
   require(is_write_class(cls),
           [&] { return name_ + ": writes must be demand-write or writeback class"; });
   note_swapped(owner, vpn);  // slot allocated at enqueue: holds() is true at once
-  Request r;
-  r.owner = owner;
-  r.key = pack(owner, vpn);
-  r.slot = slot_of_.at(r.key);
-  r.cls = cls;
-  r.enqueued = sim_.now();
-  r.trace_id = trace_id;
-  r.done = std::move(done);
-  queue_depth_.record(queue_.size());
-  queue_.push_back(std::move(r));
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "queue", trace_id, vpn);
-  VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "queue_depth",
-                      static_cast<double>(queue_.size()));
-  pump();
+  const u64 slot = owners_[owner].pages->find(vpn)->swap_slot;
+  enqueue(Request{owner, pack(owner, vpn), slot, cls, 0, trace_id, std::move(done)}, vpn);
 }
 
 std::size_t SwapScheduler::select_next() {
@@ -212,45 +218,38 @@ void SwapScheduler::promote(unsigned owner, u64 vpn) {
   }
 }
 
-void SwapScheduler::batched(const std::function<void()>& fill) {
-  ++defer_;
-  fill();
-  --defer_;
-  pump();
-}
-
 void SwapScheduler::pump() {
   if (defer_ > 0 || in_flight_ || queue_.empty()) return;
   const std::size_t idx = select_next();
-  std::vector<Request> batch = take_batch();
-  batch.push_back(std::move(queue_[idx]));
+  inflight_.push_back(std::move(queue_[idx]));
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-  if (!is_write_class(batch[0].cls)) {
+  if (!is_write_class(inflight_[0].cls)) {
     // Clustered swap-in: every queued read whose slot shares the selected
     // read's cluster region rides the same device operation, whatever its
     // class — adjacent slots stream in one access. Regions are per-owner,
     // so the batch never mixes owners. Slots were resolved at enqueue
     // (Request::slot), so this scan is compare-only.
-    const u64 region = batch[0].slot / cfg_.cluster_pages;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (!is_write_class(it->cls) && it->slot / cfg_.cluster_pages == region) {
-        batch.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
+    const u64 region = inflight_[0].slot / cfg_.cluster_pages;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      Request& r = queue_[i];
+      if (!is_write_class(r.cls) && r.slot / cfg_.cluster_pages == region)
+        inflight_.push_back(std::move(r));
+      else if (kept++ != i)
+        queue_[kept - 1] = std::move(r);
     }
+    queue_.resize(kept);
   }
   in_flight_ = true;
-  dispatch(std::move(batch));
+  dispatch();
 }
 
-void SwapScheduler::dispatch(std::vector<Request> batch) {
-  for (const Request& r : batch) {
+void SwapScheduler::dispatch() {
+  for (const Request& r : inflight_) {
     const Cycles waited = sim_.now() - r.enqueued;
     queue_wait_.record(waited);
     class_wait_[static_cast<unsigned>(r.cls)]->record(waited);
-    Owner& o = owners_.at(r.owner);
+    Owner& o = owners_[r.owner];
     if (o.queue_wait != nullptr) o.queue_wait->record(waited);
     if (is_write_class(r.cls)) {
       (r.cls == SwapReqClass::kDemandWrite ? demand_writes_ : writebacks_).add();
@@ -264,51 +263,31 @@ void SwapScheduler::dispatch(std::vector<Request> batch) {
   }
   VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "queue_depth",
                       static_cast<double>(queue_.size()));
+  if (is_write_class(inflight_[0].cls)) {
+    trace_slots();  // the slot counter track samples every write dispatch
+    device_.write_page([this] { complete(); });
+  } else {
+    device_.read_pages(inflight_.size(), [this] { complete(); });
+  }
+}
+
+void SwapScheduler::complete() {
   // Completion order: free the port and dispatch the next queued request
   // *before* running the requesters' continuations — a continuation that
   // immediately enqueues (fault chains do) must queue behind work that was
   // already waiting. Within a batch, continuations fire in batch order
-  // (selected request first).
-  if (is_write_class(batch[0].cls)) {
-    auto finish = [this, tid = batch[0].trace_id, done = std::move(batch[0].done)]() mutable {
-      VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", tid);
-      in_flight_ = false;
-      pump();
-      done();
-    };
-    const u64 key = batch[0].key;
-    recycle_batch(std::move(batch));
-    device_.write_page(key, std::move(finish));
-    return;
+  // (selected request first). A read frees its pages' slots on arrival.
+  std::swap(inflight_, completing_);
+  if (!is_write_class(completing_[0].cls)) {
+    for (const Request& r : completing_) free_slot(r.owner, r.key & kVpnMask);
+    trace_slots();
   }
-  // The batch itself rides into the device completion: keys are copied out
-  // once for the wire, and trace ids / continuations stay in the Requests
-  // instead of being unpacked into parallel vectors.
-  std::vector<u64> keys;
-  keys.reserve(batch.size());
-  for (const Request& r : batch) keys.push_back(r.key);
-  device_.read_pages(std::move(keys), [this, batch = std::move(batch)]() mutable {
-    for (const Request& r : batch) {
-      VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", r.trace_id);
-      free_slot(r.key);
-    }
-    in_flight_ = false;
-    pump();
-    for (Request& r : batch) r.done();
-    recycle_batch(std::move(batch));
-  });
-}
-
-std::vector<SwapScheduler::Request> SwapScheduler::take_batch() {
-  if (batch_pool_.empty()) return {};
-  std::vector<Request> b = std::move(batch_pool_.back());
-  batch_pool_.pop_back();
-  return b;
-}
-
-void SwapScheduler::recycle_batch(std::vector<Request> batch) {
-  batch.clear();
-  if (batch_pool_.size() < 4) batch_pool_.push_back(std::move(batch));
+  for (const Request& r : completing_)
+    VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", r.trace_id);
+  in_flight_ = false;
+  pump();
+  for (Request& r : completing_) r.done();
+  completing_.clear();
 }
 
 u64 SwapScheduler::queue_depth_class(SwapReqClass cls) const noexcept {
@@ -316,21 +295,6 @@ u64 SwapScheduler::queue_depth_class(SwapReqClass cls) const noexcept {
   for (const Request& r : queue_)
     if (r.cls == cls) ++n;
   return n;
-}
-
-std::vector<u64> SwapScheduler::neighbors(unsigned owner, u64 vpn, unsigned k) const {
-  std::vector<u64> out;
-  const auto it = slot_of_.find((static_cast<u64>(owner) << kOwnerShift) | vpn);
-  if (it == slot_of_.end() || k == 0) return out;
-  const u64 slot = it->second;
-  const u64 region_end = (slot / cfg_.cluster_pages + 1) * cfg_.cluster_pages;
-  const u64 last = std::min(region_end - 1, slot + k);
-  for (u64 s = slot + 1; s <= last; ++s) {
-    const auto page = page_at_.find(s);
-    if (page == page_at_.end()) continue;
-    out.push_back(page->second & ((1ull << kOwnerShift) - 1));  // same owner by construction
-  }
-  return out;
 }
 
 u64 SwapScheduler::owner_reads(unsigned owner) const {

@@ -21,22 +21,27 @@
 //     readahead can ask for the `neighbors` of a demand swap-in and pull
 //     the pages the process is statistically about to fault on.
 //
+// A page's slot lives in its owner's PageState record (the pager registers
+// its address space's directory), and the cluster's region in the record
+// of the cluster's first page; the slot geometry is plain vectors indexed
+// by slot and region. Nothing on this path hashes.
+//
 // The timing primitive stays SwapDevice: the scheduler hands it one
-// transfer at a time, with pages identified by (owner, vpn) keys packed
-// like the FramePool's. Per-owner counters land under "<owner>.swap.*" so
+// transfer at a time. Per-owner counters land under "<owner>.swap.*" so
 // per-process summaries keep working when the device itself is shared; in
 // the private case those names coincide with the device's own and are
 // aliased, not double-counted.
 #pragma once
 
+#include <algorithm>
 #include <array>
-#include <deque>
 #include <functional>
-#include <set>
+#include <memory>
+#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/page_state.hpp"
 #include "mem/paging/swap_device.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -65,8 +70,12 @@ class SwapScheduler {
   /// Registers a client (a pager). Registration order fixes owner ids —
   /// deterministic under the ProcessGroup's attach-order contract. The
   /// owner name prefixes that client's per-owner counters
-  /// ("<owner_name>.swap.reads" / ".writes" / ".queue_wait").
-  unsigned register_owner(const std::string& owner_name);
+  /// ("<owner_name>.swap.reads" / ".writes" / ".queue_wait"). `pages` is
+  /// the owner's page-state directory, where its pages' slots are kept; it
+  /// must outlive the owner's traffic. Null gives the owner a directory of
+  /// the scheduler's own (rigs that drive the scheduler without an address
+  /// space).
+  unsigned register_owner(const std::string& owner_name, mem::PageStates* pages = nullptr);
 
   /// True when the device holds a copy of the owner's page.
   bool holds(unsigned owner, u64 vpn) const;
@@ -87,7 +96,13 @@ class SwapScheduler {
   /// inside land in the queue atomically, so a demand read and its
   /// readahead dispatch as one clustered operation instead of the first
   /// read racing out alone on an idle port.
-  void batched(const std::function<void()>& fill);
+  template <typename F>
+  void batched(F&& fill) {
+    ++defer_;
+    fill();
+    --defer_;
+    pump();
+  }
 
   /// Queues a timed page write (swap-out / writeback); `cls` must be
   /// kDemandWrite (fault-path eviction) or kWriteback (background
@@ -103,16 +118,26 @@ class SwapScheduler {
   /// the pageout daemons' yield signal, now device-wide.
   bool busy() const noexcept { return in_flight_ || !queue_.empty(); }
 
-  /// Pages of `owner` occupying the `k` slots directly after `vpn`'s slot,
-  /// in ascending slot order, clipped to the cluster region (clustering
-  /// guarantees they belong to the same owner). The readahead candidates
-  /// for a demand swap-in of `vpn`.
-  std::vector<u64> neighbors(unsigned owner, u64 vpn, unsigned k) const;
+  /// Calls fn(page) for each page of `owner` occupying the `k` slots
+  /// directly after `vpn`'s slot, in ascending slot order, clipped to the
+  /// cluster region (clustering guarantees they belong to the same owner);
+  /// stops early when fn returns false. The readahead candidates for a
+  /// demand swap-in of `vpn`.
+  template <typename F>
+  void for_each_neighbor(unsigned owner, u64 vpn, unsigned k, F&& fn) const {
+    const mem::PageState* s = owners_[owner].pages->find(vpn);
+    if (s == nullptr || !s->holds_slot() || k == 0) return;
+    const u64 slot = s->swap_slot;
+    const u64 region_end = (slot / cfg_.cluster_pages + 1) * cfg_.cluster_pages;
+    const u64 last = std::min(region_end - 1, slot + k);
+    for (u64 n = slot + 1; n <= last; ++n)
+      if (page_at_[n] != kNoPage && !fn(page_at_[n] & kVpnMask)) return;
+  }
 
   // --- introspection ---
   u64 reads() const noexcept { return device_.reads(); }
   u64 writes() const noexcept { return device_.writes(); }
-  u64 slots_in_use() const noexcept { return device_.slots_in_use(); }
+  u64 slots_in_use() const noexcept { return slots_in_use_; }
   u64 queue_depth() const noexcept { return queue_.size(); }
   /// Queued requests of one class (telemetry probe; linear scan — swap
   /// queues are short).
@@ -124,14 +149,16 @@ class SwapScheduler {
 
  private:
   static constexpr unsigned kOwnerShift = 44;  // vpns fit far below 2^44
+  static constexpr u64 kVpnMask = (1ull << kOwnerShift) - 1;
+  static constexpr u64 kNoPage = ~0ull;
 
   struct Request {
     unsigned owner = 0;
-    u64 key = 0;
-    /// The key's swap slot, resolved once at enqueue. Valid for the queued
+    u64 key = 0;  // packed (owner, vpn): trace argument and promote() match
+    /// The page's swap slot, resolved once at enqueue. Valid for the queued
     /// request's whole lifetime: a held page's slot never moves, and the
     /// only free is the page's own read completion — so dispatch clusters
-    /// on this field instead of re-probing slot_of_ per queued request.
+    /// on this field instead of re-reading page records.
     u64 slot = 0;
     SwapReqClass cls = SwapReqClass::kDemandRead;
     Cycles enqueued = 0;
@@ -147,22 +174,21 @@ class SwapScheduler {
     Counter* reads = nullptr;
     Counter* writes = nullptr;
     Histogram* queue_wait = nullptr;
+    mem::PageStates* pages = nullptr;  // where this owner's slots live
   };
 
   u64 pack(unsigned owner, u64 vpn) const;
-  void alloc_slot(unsigned owner, u64 vpn);
-  void free_slot(u64 key);
+  void alloc_slot(unsigned owner, u64 vpn, mem::PageState& page);
+  void free_slot(unsigned owner, u64 vpn);
+  void trace_slots();
+  void enqueue(Request r, u64 vpn);
   std::size_t select_next();
   void pump();
-  /// Issues one device operation: a single write, or a read batch (the
-  /// selected read plus every queued same-cluster read) as one clustered
-  /// transfer. `batch[0]` is the selected request.
-  void dispatch(std::vector<Request> batch);
-  /// Batch-vector recycling: dispatch hands its vector (and the Requests'
-  /// heap nodes) back after completion, so steady-state fault traffic
-  /// allocates no batch storage.
-  std::vector<Request> take_batch();
-  void recycle_batch(std::vector<Request> batch);
+  /// Issues one device operation for `inflight_`: a single write, or a read
+  /// batch (the selected read plus every queued same-cluster read) as one
+  /// clustered transfer. `inflight_[0]` is the selected request.
+  void dispatch();
+  void complete();
 
   sim::Simulator& sim_;
   SwapConfig cfg_;
@@ -170,9 +196,13 @@ class SwapScheduler {
   SwapDevice device_;
   sim::TraceTrack trace_track_ = 0;
   std::vector<Owner> owners_;
+  std::vector<std::unique_ptr<mem::PageStates>> own_pages_;  // owners registered without one
 
-  std::deque<Request> queue_;
-  std::vector<std::vector<Request>> batch_pool_;  // recycled dispatch batches
+  // Storage-reusing request vectors: swap queues are short, so erasing from
+  // the middle is cheap, and steady-state traffic allocates nothing.
+  std::vector<Request> queue_;
+  std::vector<Request> inflight_;    // the batch on the device port
+  std::vector<Request> completing_;  // the batch whose continuations run now
   bool in_flight_ = false;
   unsigned defer_ = 0;  // batched() scope depth: pump waits for the scope end
   /// Dispatches that bypassed the oldest queued request (the deque front,
@@ -181,14 +211,13 @@ class SwapScheduler {
   /// otherwise bypass forever.
   u64 wb_bypassed_ = 0;
 
-  // --- clustering slot allocator ---
-  std::unordered_map<u64, u64> slot_of_;            // packed key -> numeric slot
-  std::unordered_map<u64, u64> page_at_;            // numeric slot -> packed key
-  std::unordered_map<u64, u64> region_of_cluster_;  // packed (owner, vpn/cluster) -> region
-  std::unordered_map<u64, u64> cluster_of_region_;  // region -> packed cluster (for freeing)
-  std::unordered_map<u64, u64> region_pop_;         // region -> slots in use
-  std::set<u64> free_regions_;                      // lowest-first reuse: deterministic
-  u64 next_region_ = 0;
+  // --- clustering slot allocator (a cluster's region is in its first
+  // page's PageState::swap_region) ---
+  std::vector<u64> page_at_;         // slot -> packed (owner, vpn); kNoPage when free
+  std::vector<u64> region_leader_;   // region -> packed (owner, cluster's first vpn)
+  std::vector<u64> region_pop_;      // region -> slots in use
+  std::priority_queue<u64, std::vector<u64>, std::greater<>> free_regions_;  // lowest first
+  u64 slots_in_use_ = 0;
 
   Histogram& queue_wait_;
   Histogram& queue_depth_;

@@ -29,6 +29,29 @@ u64 window(const T& cur, const T* base, F f) {
   return std::invoke(f, cur) - (base != nullptr ? std::invoke(f, *base) : 0);
 }
 
+/// Counts the address space's page-state records that are in no lifecycle,
+/// and those a drained pager must not hold. A record's lifecycle is exactly
+/// one of: resident (its live bit set and the page table mapping it),
+/// swapped (not resident; a swap slot and saved contents), saved (not
+/// resident; saved contents without a slot — a fork-inherited copy), or
+/// neither (never evicted, or file-backed and clean). A record fitting none
+/// is stray: live without a mapping, a slot without saved contents, or a
+/// speculative flag on a non-resident page. (A mapping without the live
+/// bit shows up as refcount > page-table mappings, counted over live
+/// records.)
+void census(const mem::AddressSpace& as, PagerLedger& out) {
+  as.page_states().for_each([&](u64 vpn, const mem::PageState& ps) {
+    const bool stray = as.page_states().live(vpn)
+                           ? !as.is_mapped(vpn * as.page_bytes())
+                           : (ps.holds_slot() && ps.backing == 0) ||
+                                 ps.has(mem::PageState::kSpeculative);
+    out.stray_pages += stray ? 1 : 0;
+    out.pinned_pages += ps.pins != 0 ? 1 : 0;
+    out.pending_pages += ps.has(mem::PageState::kPending) ? 1 : 0;
+    out.inflight_pages += ps.fault != 0 ? 1 : 0;
+  });
+}
+
 }  // namespace
 
 Ledgers snapshot_ledgers(const std::vector<paging::Pager*>& pagers,
@@ -53,11 +76,15 @@ Ledgers snapshot_ledgers(const std::vector<paging::Pager*>& pagers,
         .swap_reads = pg->swap().reads(), .swap_writes = pg->swap().writes(),
         .client_hits = bc.client_hits(pg->bcache_client()),
         .client_misses = bc.client_misses(pg->bcache_client()),
+        .resident = pg->space().resident_pages(), .maps = pg->space().maps(),
         .swap_device = index_of<paging::SwapScheduler>(swaps, &pg->swap_scheduler()),
         .cache = index_of(caches, &bc),
     });
     const mem::AddressSpace& as = pg->space();
-    as.for_each_resident([&](u64 vpn) { ++mappings[*as.frame_of(vpn)]; });
+    census(as, s.pagers.back());
+    as.for_each_resident([&](u64 vpn) {
+      if (const auto frame = as.frame_of(vpn)) ++mappings[*frame];  // else a stray record
+    });
   }
   for (const paging::SwapScheduler* sw : swaps)
     s.swaps.push_back({sw->name(), sw->reads(), sw->writes()});
@@ -109,6 +136,12 @@ std::vector<std::string> audit(const Ledgers& now, const Ledgers* baseline) {
           "swap writes == writebacks + pageouts", p.name);
     check(d(&L::file_reads), d(&L::client_hits) + d(&L::client_misses),
           "file_reads == client hits + client misses", p.name);
+    check(d(&L::resident), d(&L::maps) - d(&L::unmaps), "resident == maps - unmaps", p.name);
+    check(p.stray_pages, 0, "every page record in exactly one lifecycle (stray records)",
+          p.name);
+    check(p.pinned_pages, 0, "drained: no pinned pages", p.name);
+    check(p.pending_pages, 0, "drained: no pending frame reservations", p.name);
+    check(p.inflight_pages, 0, "drained: no in-flight faults", p.name);
     owner_reads[p.swap_device] += d(&L::swap_reads);
     owner_writes[p.swap_device] += d(&L::swap_writes);
     client_hits[p.cache] += d(&L::client_hits);

@@ -5,9 +5,11 @@
 // per swap device, per buffer cache) and the frame state into a plain
 // value; audit() names every identity the value violates. Counter
 // identities hold over any window, so audit(now, &baseline) checks them on
-// `now - baseline`; state identities (per-frame refcounts, pool residency)
-// are checked on `now`. Audit a drained simulator: a swap-in or a cache
-// miss is counted when issued, its device read only when dispatched.
+// `now - baseline`; state identities (per-frame refcounts, pool residency,
+// the page-state census) are checked on `now`. Audit a drained simulator: a
+// swap-in or a cache miss is counted when issued, its device read only when
+// dispatched, and a drained pager holds no pins, reservations or in-flight
+// faults.
 //
 // Identities against a driver's own fault classification (the read-fault
 // and COW ledgers) or about one scenario (a file-only run never touches
@@ -31,6 +33,10 @@ struct PagerLedger {
   u64 cow_copies = 0, cow_upgrades = 0, prefetches = 0, writebacks = 0, pageouts = 0;
   u64 swap_reads = 0, swap_writes = 0;     // this owner's traffic on its device
   u64 client_hits = 0, client_misses = 0;  // this client's window on its cache
+  u64 resident = 0, maps = 0;  // mem::AddressSpace::resident_pages() / maps()
+  /// Page-state census (a state, never windowed): records in no lifecycle,
+  /// and records still pinned, holding a frame reservation, or in flight.
+  u64 stray_pages = 0, pinned_pages = 0, pending_pages = 0, inflight_pages = 0;
   std::size_t swap_device = 0, cache = 0;  // indices into Ledgers
 
   u64 read_faults() const {

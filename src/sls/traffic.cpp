@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -87,15 +86,14 @@ TrafficDriver::TrafficDriver(ProcessGroup& group, const TrafficConfig& cfg,
   }
 }
 
-std::vector<TrafficDriver::Touch> TrafficDriver::make_episode(u64 id) const {
+void TrafficDriver::make_episode(u64 id, std::vector<Touch>& out) const {
   const Episode kind = mix_[id % mix_.size()];
   // Per-request stream: f(traffic seed, request id). SplitMix-style mixing
   // keeps neighboring ids decorrelated; Rng reseeds through SplitMix64
   // again, so even seed 0 behaves.
   Rng rng(cfg_.arrival.seed ^ (0x9E3779B97F4A7C15ull * (id + 1)));
   const u64 pages = cfg_.arena_pages;
-  std::vector<Touch> out;
-  out.reserve(cfg_.episode_touches);
+  out.clear();
   u64 idx = rng.below(pages);
   const u64 stride = 2 + rng.below(5);
   for (u64 i = 0; i < cfg_.episode_touches; ++i) {
@@ -118,7 +116,6 @@ std::vector<TrafficDriver::Touch> TrafficDriver::make_episode(u64 id) const {
     }
     out.push_back(Touch{idx, rng.chance(cfg_.write_ratio)});
   }
-  return out;
 }
 
 void TrafficDriver::on_arrival() {
@@ -174,58 +171,61 @@ void TrafficDriver::dispatch(const Pending& req, std::size_t worker) {
   wk.busy = true;
   ++busy_;
   report_.peak_busy = std::max(report_.peak_busy, busy_);
-  const Cycles dispatched = sim_.now();
-  queue_wait_.record(dispatched - req.arrival);
+  wk.req = req;
+  wk.dispatched = sim_.now();
+  queue_wait_.record(wk.dispatched - req.arrival);
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "service", req.trace_id, worker);
 
-  // The episode chain: each touch charges touch_cost compute, then either
+  // The episode: each touch charges touch_cost compute, then either
   // proceeds synchronously (resident page) or suspends on the worker
   // pager's fault path — fault stalls, swap queue waits, and writebacks
   // all land inside this request's service span.
-  struct Chain {
-    std::vector<Touch> touches;
-    std::size_t pos = 0;
-    std::function<void()> next;
-  };
-  auto chain = std::make_shared<Chain>();
-  chain->touches = make_episode(req.id);
-  // The scheduled touches and fault continuations own the chain; `next`
-  // holds it weakly, since a chain owning itself would never be freed.
-  chain->next = [this, self = std::weak_ptr<Chain>(chain), req, worker, dispatched] {
-    const auto st = self.lock();
-    if (st->pos == st->touches.size()) {
-      complete(req, worker, dispatched);
-      return;
-    }
-    const Touch t = st->touches[st->pos++];
-    const VirtAddr va = workers_[worker].arena + t.page * page_bytes_;
-    auto access = [this, st, va, t, worker] {
-      Worker& w = workers_[worker];
-      if (!w.as->is_mapped(va)) {
-        w.pager->handle_fault(va, t.is_write, [this, st, va, t, worker] {
-          Worker& done = workers_[worker];
-          if (!done.as->is_mapped(va)) done.process->map_in(va);
-          if (t.is_write) done.as->write_u64(va, st->pos);
-          st->next();
-        });
-        return;
-      }
-      if (t.is_write)
-        w.as->write_u64(va, st->pos);
-      else
-        (void)w.as->read_u64(va);
-      st->next();
-    };
-    if (cfg_.touch_cost > 0)
-      sim_.schedule_in(cfg_.touch_cost, std::move(access));
-    else
-      sim_.schedule_now(std::move(access));
-  };
-  chain->next();
+  make_episode(req.id, wk.touches);
+  wk.pos = 0;
+  next_touch(worker);
 }
 
-void TrafficDriver::complete(const Pending& req, std::size_t worker, Cycles dispatched) {
+void TrafficDriver::next_touch(std::size_t worker) {
   Worker& wk = workers_[worker];
+  if (wk.pos == wk.touches.size()) {
+    complete(worker);
+    return;
+  }
+  ++wk.pos;
+  if (cfg_.touch_cost > 0)
+    sim_.schedule_in(cfg_.touch_cost, [this, worker] { touch(worker); });
+  else
+    sim_.schedule_now([this, worker] { touch(worker); });
+}
+
+void TrafficDriver::touch(std::size_t worker) {
+  Worker& wk = workers_[worker];
+  const Touch t = wk.touches[wk.pos - 1];
+  const VirtAddr va = wk.arena + t.page * page_bytes_;
+  if (!wk.as->is_mapped(va)) {
+    wk.pager->handle_fault(va, t.is_write, [this, worker] { finish_touch(worker); });
+    return;
+  }
+  if (t.is_write)
+    wk.as->write_u64(va, wk.pos);
+  else
+    (void)wk.as->read_u64(va);
+  next_touch(worker);
+}
+
+void TrafficDriver::finish_touch(std::size_t worker) {
+  Worker& wk = workers_[worker];
+  const Touch t = wk.touches[wk.pos - 1];
+  const VirtAddr va = wk.arena + t.page * page_bytes_;
+  if (!wk.as->is_mapped(va)) wk.process->map_in(va);
+  if (t.is_write) wk.as->write_u64(va, wk.pos);
+  next_touch(worker);
+}
+
+void TrafficDriver::complete(std::size_t worker) {
+  Worker& wk = workers_[worker];
+  const Pending req = wk.req;
+  const Cycles dispatched = wk.dispatched;
   wk.busy = false;
   --busy_;
   completed_.add();
@@ -242,8 +242,7 @@ void TrafficDriver::complete(const Pending& req, std::size_t worker, Cycles disp
   VMSLS_TRACE_END(sim_.trace(), trace_track_, "service", req.trace_id);
   VMSLS_TRACE_END(sim_.trace(), trace_track_, "request", req.trace_id);
   if (!queue_.empty()) {
-    const Pending next_req = queue_.front();
-    queue_.pop_front();
+    const Pending next_req = queue_.pop_front();
     VMSLS_TRACE_END(sim_.trace(), trace_track_, "queue", next_req.trace_id);
     dispatch(next_req, worker);
   }
@@ -252,6 +251,11 @@ void TrafficDriver::complete(const Pending& req, std::size_t worker, Cycles disp
 TrafficDriver::Report TrafficDriver::run(Cycles max_cycles) {
   require(!ran_, name_ + ": a TrafficDriver runs once (build a fresh one per run)");
   ran_ = true;
+  // Every admitted request appends one sample to each vector: size them
+  // once instead of growing them through the run.
+  report_.latency.reserve(cfg_.requests);
+  report_.queue_wait.reserve(cfg_.requests);
+  report_.service.reserve(cfg_.requests);
   if (sim::TelemetrySampler* t = group_.telemetry(); t != nullptr && !t->armed()) t->start();
   const Cycles t0 = sim_.now();
   sim_.schedule_in(arrivals_gen_.next_gap(sim_.now()), [this] { on_arrival(); });

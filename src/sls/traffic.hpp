@@ -33,12 +33,12 @@
 // spans, with rejected arrivals marked by an instant event.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "sls/process_group.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::sls {
 
@@ -97,6 +97,23 @@ class TrafficDriver {
  private:
   enum class Episode { kSweep, kStrided, kRandom, kChase };
 
+  struct Pending {
+    u64 id = 0;
+    Cycles arrival = 0;
+    u64 trace_id = 0;
+  };
+
+  /// One episode step: a seeded page index into the worker arena plus a
+  /// store flag.
+  struct Touch {
+    u64 page = 0;
+    bool is_write = false;
+  };
+
+  /// A worker runs one request at a time, so the request's episode lives
+  /// here: its touch vector (reused across requests), the position of the
+  /// touch in progress, the request and its dispatch cycle. Every step of
+  /// the episode is a callback carrying just (driver, worker index).
   struct Worker {
     System* system = nullptr;
     paging::Pager* pager = nullptr;
@@ -104,24 +121,25 @@ class TrafficDriver {
     mem::AddressSpace* as = nullptr;
     VirtAddr arena = 0;
     bool busy = false;
-  };
-
-  struct Pending {
-    u64 id = 0;
-    Cycles arrival = 0;
-    u64 trace_id = 0;
+    Pending req;
+    Cycles dispatched = 0;
+    std::vector<Touch> touches;
+    std::size_t pos = 0;  // touches started so far
   };
 
   void on_arrival();
   void dispatch(const Pending& req, std::size_t worker);
-  void complete(const Pending& req, std::size_t worker, Cycles dispatched);
-  /// Episode step addresses for request `id`: seeded page indices into the
-  /// worker arena plus a store flag per touch.
-  struct Touch {
-    u64 page = 0;
-    bool is_write = false;
-  };
-  std::vector<Touch> make_episode(u64 id) const;
+  /// Starts the worker's next touch after touch_cost, or completes the
+  /// request when the episode is done.
+  void next_touch(std::size_t worker);
+  /// Performs touch `pos - 1`, through the pager's fault path when the page
+  /// is not resident.
+  void touch(std::size_t worker);
+  /// The touch's store (if any) on its now-resident page.
+  void finish_touch(std::size_t worker);
+  void complete(std::size_t worker);
+  /// Fills `out` with request `id`'s episode.
+  void make_episode(u64 id, std::vector<Touch>& out) const;
 
   sim::Simulator& sim_;
   ProcessGroup& group_;
@@ -130,7 +148,7 @@ class TrafficDriver {
   std::vector<Episode> mix_;
   sim::ArrivalProcess arrivals_gen_;
   std::vector<Worker> workers_;
-  std::deque<Pending> queue_;
+  Fifo<Pending> queue_;
   u64 page_bytes_ = 0;
   u64 next_id_ = 0;
   u64 busy_ = 0;

@@ -48,6 +48,7 @@ template <typename T>
 class Fifo {
  public:
   bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
 
   void push_back(T v) {
     if (size_ == slots_.size()) grow();

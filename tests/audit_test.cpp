@@ -98,9 +98,23 @@ TEST(Audit, EachIdentityFailsAlone) {
   ASSERT_FALSE(s.frames.empty());
   const std::string frame = "frame " + std::to_string(s.frames[0].frame);
   const std::vector<Breakage> cases = {
-      {[](Ledgers& x) { ++x.pagers[0].unmaps; },
+      // An unmap with a matching map keeps the residency ledger balanced.
+      {[](Ledgers& x) {
+         ++x.pagers[0].unmaps;
+         ++x.pagers[0].maps;
+       },
        "unmaps == swap_releases + file_drops + file_writebacks + shared_releases violated for "
        "p0.pager"},
+      {[](Ledgers& x) { ++x.pagers[1].resident; },
+       "resident == maps - unmaps violated for p1.pager"},
+      {[](Ledgers& x) { ++x.pagers[0].stray_pages; },
+       "every page record in exactly one lifecycle (stray records) violated for p0.pager"},
+      {[](Ledgers& x) { ++x.pagers[1].pinned_pages; },
+       "drained: no pinned pages violated for p1.pager"},
+      {[](Ledgers& x) { ++x.pagers[0].pending_pages; },
+       "drained: no pending frame reservations violated for p0.pager"},
+      {[](Ledgers& x) { ++x.pagers[1].inflight_pages; },
+       "drained: no in-flight faults violated for p1.pager"},
       {[](Ledgers& x) { ++x.pagers[1].swap_ins; },
        "swap reads == swap_ins + prefetches violated for p1.pager"},
       {[](Ledgers& x) { ++x.pagers[0].pageouts; },
@@ -146,6 +160,8 @@ TEST(Audit, BaselineWindowsCountersButNotState) {
   base = s;
   ++base.frames[0].refcount;
   ++base.pool->resident_pages;
+  ++base.pagers[0].stray_pages;
+  ++base.pagers[1].inflight_pages;
   EXPECT_EQ(audit(s, &base), std::vector<std::string>{});
   // A baseline over different pagers is a caller bug, not a violation.
   base = s;

@@ -68,7 +68,6 @@ StressSnapshot run_chaos(u64 seed) {
   for (u64 p = 0; p < kRegionPages; ++p) ms.as.write_u64(base + p * 4096, 0xBEEF0000 + p);
   process.evict(base, kRegionPages * 4096);
   const auto pinned = driver.alloc_pinned(kPinnedPages * 4096);
-  const u64 maps_at_start = ms.as.faults_serviced();
 
   Rng rng(seed);
   auto issued = std::make_shared<u64>(0);
@@ -114,12 +113,11 @@ StressSnapshot run_chaos(u64 seed) {
   EXPECT_EQ(driver.pins_held(), 0u) << "seed " << seed;
   // Swap ledger (readahead is off): every pager swap-in is exactly one
   // device read, and every device write is either a fault-path writeback or
-  // a daemon pageout; every unmap lands in exactly one bucket.
+  // a daemon pageout; every unmap lands in exactly one bucket. Residency
+  // ledger: maps minus unmaps is exactly what remains resident (nothing
+  // leaks, nothing double-frees); every page record is in one lifecycle
+  // and holds no pin, reservation or in-flight fault after the drain.
   EXPECT_EQ(sls::audit(sls::snapshot_ledgers({&pager}, ms.frames)), std::vector<std::string>{})
-      << "seed " << seed;
-  // Residency ledger: pages mapped since the cold start minus evictions is
-  // exactly what remains resident (nothing leaks, nothing double-frees).
-  EXPECT_EQ(ms.as.resident_pages(), ms.as.faults_serviced() - maps_at_start - pager.evictions())
       << "seed " << seed;
   // The stress mix must actually exercise the pressure machinery.
   EXPECT_GT(pager.evictions(), 0u) << "seed " << seed;

@@ -45,7 +45,6 @@ struct Member {
   std::unique_ptr<rt::Process> process;
   std::unique_ptr<Pager> pager;
   VirtAddr base = 0;
-  u64 maps_at_start = 0;
 };
 
 StressSnapshot run_chaos(u64 seed) {
@@ -83,7 +82,6 @@ StressSnapshot run_chaos(u64 seed) {
     for (u64 p = 0; p < kRegionPages; ++p)
       m.as->write_u64(m.base + p * 4096, (u64{i} << 32) | p);
     m.process->evict(m.base, kRegionPages * 4096);
-    m.maps_at_start = m.as->faults_serviced();
   }
 
   Rng rng(seed);
@@ -122,25 +120,13 @@ StressSnapshot run_chaos(u64 seed) {
   // exactly its demand swap-ins plus its issued prefetches, its writes its
   // fault-path writebacks plus daemon pageouts, and the owners partition
   // the device totals — nobody's traffic is misattributed across the queue.
+  // Per owner, the residency ledger (maps minus unmaps is what remains
+  // resident) and the page-state census: speculative flags never outlive
+  // residency, and no pin, reservation or in-flight fault survives the drain.
   std::vector<Pager*> pagers;
   for (const Member& m : members) pagers.push_back(m.pager.get());
   EXPECT_EQ(sls::audit(sls::snapshot_ledgers(pagers, ms.frames)), std::vector<std::string>{})
       << "seed " << seed;
-  for (unsigned i = 0; i < kProcs; ++i) {
-    const Member& m = members[i];
-    // Residency ledger: mappings since the cold start minus evictions is
-    // exactly what remains resident.
-    EXPECT_EQ(m.as->resident_pages(),
-              m.as->faults_serviced() - m.maps_at_start - m.pager->evictions())
-        << "seed " << seed << " p" << i;
-    // Speculative flags never outlive residency.
-    const u64 base_vpn = m.base >> 12;
-    for (u64 p = 0; p < kRegionPages; ++p) {
-      if (m.pager->is_speculative(base_vpn + p)) {
-        EXPECT_TRUE(m.as->is_mapped(m.base + p * 4096)) << "seed " << seed << " p" << i;
-      }
-    }
-  }
   // The mix must actually exercise contention, prefetch, and eviction.
   EXPECT_GT(sched.reads(), 0u) << "seed " << seed;
 
